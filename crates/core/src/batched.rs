@@ -318,8 +318,8 @@ impl Lane {
         (result, self.trace.take())
     }
 
-    /// Admit job `jid` on worker `p` (exact port of the sequential
-    /// `admit_job` + its call-site bookkeeping).
+    /// Admit job `jid` on worker `p` (exact port of the core engine's
+    /// `admit_slot` + its call-site bookkeeping).
     fn admit(&mut self, jid: JobId, p: usize, jobs: &[Job]) {
         let job = &jobs[jid as usize];
         let id = self.arena.alloc(&job.dag);
@@ -947,47 +947,6 @@ pub fn simulate_batched(
     run_batched(instance, specs, batch)
         .into_iter()
         .map(|(r, _)| r)
-        .collect()
-}
-
-/// Streaming counterpart of [`simulate_batched`]: run every replica over
-/// its own [`JobStream`](crate::JobStream) in O(active + m) memory,
-/// pushing each completed outcome into `sink` tagged with the replica
-/// index.
-///
-/// Lanes hold whole materialized instances, so the SoA interleaving is the
-/// wrong shape for endless streams; replicas instead run sequentially
-/// through the streaming engine — each result is bit-identical to
-/// `run_worksteal(instance, &spec.config, spec.policy, spec.seed)` on the
-/// materialization of that replica's stream (transitively through the
-/// streaming engine's own differential guarantee). `make_stream(i)` builds
-/// replica `i`'s stream; replicas with non-empty fault plans fail with
-/// [`StreamError::FaultsUnsupported`](crate::StreamError::FaultsUnsupported),
-/// like every streaming entry point.
-pub fn simulate_batched_stream<S, F>(
-    mut make_stream: F,
-    specs: &[ReplicaSpec],
-    sink: &mut dyn FnMut(usize, &JobOutcome),
-) -> Result<Vec<crate::StreamSummary>, crate::StreamError>
-where
-    S: crate::JobStream,
-    F: FnMut(usize) -> S,
-{
-    specs
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            let mut stream = make_stream(i);
-            let mut per_replica = |o: &JobOutcome| sink(i, o);
-            crate::run_worksteal_stream(
-                &mut stream,
-                &spec.config,
-                spec.policy,
-                spec.seed,
-                &mut per_replica,
-            )
-            .map(|(summary, _)| summary)
-        })
         .collect()
 }
 

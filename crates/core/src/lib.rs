@@ -86,13 +86,13 @@ mod stream;
 mod trace;
 mod worksteal;
 
-pub use batched::{run_batched, simulate_batched, simulate_batched_stream, ReplicaSpec};
+pub use batched::{run_batched, simulate_batched, ReplicaSpec};
 pub use calendar::CalendarQueue;
 #[cfg(feature = "reference-engine")]
 pub use centralized::run_priority_reference;
 pub use centralized::{
-    run_priority, run_priority_batch, run_priority_observed, simulate_bwf, simulate_fifo,
-    BiggestWeightFirst, Fifo, JobPriority, Lifo, ShortestJobFirst,
+    run_priority, run_priority_observed, simulate_bwf, simulate_fifo, BiggestWeightFirst, Fifo,
+    JobPriority, Lifo, ShortestJobFirst,
 };
 pub use config::{AdmissionOrder, SimConfig, StealAmount, StealCost, VictimStrategy};
 pub use dispatch::{ParseSchedulerError, SchedulerKind};
@@ -114,8 +114,8 @@ pub use opt::{
 pub use result::{BacklogSample, EngineStats, JobOutcome, SimResult};
 pub use stream::{
     run_priority_stream, run_priority_stream_observed, run_worksteal_stream,
-    run_worksteal_stream_observed, run_worksteal_stream_with_base, InstanceReplay, JobStream,
-    OptTap, RetirementStats, StreamError, StreamSummary, StreamedJob,
+    run_worksteal_stream_observed, InstanceReplay, JobStream, OptTap, RetirementStats, StreamError,
+    StreamSummary, StreamedJob,
 };
 pub use trace::{Action, ScheduleTrace, TraceSpan, TraceViolation};
 pub use worksteal::{run_worksteal, run_worksteal_observed, simulate_worksteal, StealPolicy};

@@ -1,43 +1,45 @@
-//! Streaming engine entry points: O(active)-memory simulation over endless
-//! job streams.
+//! The engine cores: one work-stealing round loop and one centralized
+//! event-horizon loop, both running in O(active) memory over job streams.
 //!
-//! The materialized entry points ([`crate::run_worksteal`],
-//! [`crate::run_priority`]) demand a fully built [`Instance`] — `Vec<Job>`
-//! plus per-job state slabs and an O(n) outcome vector — so *memory*, not
-//! CPU, caps the horizon at n ≈ 10⁶ jobs. The paper's model, however, is an
-//! online endless arrival stream, and its asymptotic claims (competitive
-//! ratios as n → ∞) need 10⁷-job runs. The entry points here pull jobs one
-//! at a time from a [`JobStream`], keep exactly one job of lookahead, and
-//! retire completed jobs back into a free-listed slab (plus the existing
-//! recycled [`CursorArena`]), so live memory is O(active jobs + m), not
-//! O(n). Completed [`JobOutcome`]s are pushed into a caller-provided sink
-//! instead of being accumulated.
+//! Each loop pulls jobs one at a time from a [`JobStream`], keeps exactly
+//! one job of lookahead, and retires completed jobs back into a
+//! free-listed slab (plus the recycled [`CursorArena`]), so live memory is
+//! O(active jobs + m), not O(n). Completed [`JobOutcome`]s are pushed into
+//! a caller-provided sink instead of being accumulated. The paper's model
+//! is an online endless arrival stream, and its asymptotic claims
+//! (competitive ratios as n → ∞) need 10⁷-job runs that a materialized
+//! instance could not hold.
 //!
-//! **Bit identity.** For any materialized instance, running the streaming
-//! engine over [`InstanceReplay`] reproduces the materialized run exactly:
-//! the same RNG stream (victim selection never reads job ids), the same
-//! [`EngineStats`], the same per-job outcomes in completion order, and the
-//! same [`ScheduleTrace`] when recorded. Internally tasks carry slab *slot*
+//! **Materialized runs are thin drivers.** [`crate::run_worksteal`] and
+//! [`crate::run_priority`] (and every wrapper around them) replay their
+//! [`Instance`] through [`InstanceReplay`] into a sink that files outcomes
+//! by job id, so a materialized run and a streamed replay of the same
+//! instance are the same computation. Internally tasks carry slab *slot*
 //! ids instead of job ids; slots are handed out in arrival order from a
-//! LIFO free list, mirroring the arena recycling of the materialized path,
-//! and every job-visible quantity (trace rows, admission tie-breaks,
-//! outcomes) is translated back through the slot's stored job id. The
-//! differential proptests in `tests/stream_differential.rs` pin this down
-//! for every prefix of random instances.
+//! LIFO free list, and every job-visible quantity (trace rows, admission
+//! tie-breaks, panic sampling, fault events, outcomes) is translated back
+//! through the slot's stored job id. Victim selection never reads job
+//! ids, so the RNG stream is independent of slot numbering.
 //!
-//! **Faults are unsupported** on the streaming path ([`StreamError::
-//! FaultsUnsupported`]): crash/stall/panic machinery is inherently bounded
-//! by the fault plan, not the stream, and all of it is a no-op under an
-//! empty plan — which is exactly what the fault-free port here replays.
+//! **Faults.** The work-stealing loop runs the whole [`FaultPlan`]:
+//! crashes reinject the dead worker's tasks into an orphan FIFO that
+//! survivors adopt, stalls and slowdown gates freeze workers, blackholed
+//! deques refuse thieves, and injected task panics fail the job and purge
+//! its tasks everywhere. Quiescent fast-forwards stop at fault boundaries,
+//! and the event-window fast path is only taken under an empty plan. The
+//! centralized loop models a reliable machine and ignores the plan.
+//!
+//! [`FaultPlan`]: crate::FaultPlan
 
 use crate::centralized::JobPriority;
 use crate::config::{AdmissionOrder, SimConfig, StealCost, VictimStrategy};
-use crate::fault::JobStatus;
+use crate::fault::{FaultEvent, FaultKind, JobStatus, PanicSampler, SlowdownGate, PPM};
 use crate::opt::OptTracker;
-use crate::result::{BacklogSample, EngineStats, JobOutcome};
+use crate::result::{BacklogSample, EngineStats, JobOutcome, SimResult};
 use crate::trace::{Action, ScheduleTrace};
 use crate::worksteal::{
-    any_stealable, burn_failed_attempts, steal_into, StealPolicy, Worker, WorkerObs,
+    advance_scan, any_stealable, burn_failed_attempts, burn_uniform_draws, steal_into, StealPolicy,
+    Worker, WorkerObs,
 };
 use parflow_dag::{CursorArena, CursorId, Instance, Job, JobDag, JobId, NodeId, StepOutcome};
 use parflow_obs::{NullRecorder, Recorder};
@@ -73,9 +75,8 @@ pub trait JobStream {
     fn next_job(&mut self) -> Option<StreamedJob>;
 }
 
-/// Replay of a materialized [`Instance`] as a [`JobStream`] — the bridge
-/// the differential tests use to prove streaming runs bit-identical to
-/// materialized ones.
+/// Replay of a materialized [`Instance`] as a [`JobStream`] — how the
+/// materialized entry points drive the engine cores.
 #[derive(Clone, Debug)]
 pub struct InstanceReplay<'a> {
     jobs: &'a [Job],
@@ -154,9 +155,8 @@ impl<S: JobStream> JobStream for OptTap<S> {
 
 /// Errors surfaced by the streaming entry points.
 ///
-/// The materialized engines index jobs with dense `u32` ids and would
-/// silently wrap past `u32::MAX` jobs if anything could materialize that
-/// many; the streaming path is the first one that can, so it checks.
+/// Jobs are indexed with dense `u32` ids; a stream is the only input that
+/// can outgrow that space, so the engines check.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StreamError {
     /// The stream produced more jobs than `u32` job ids can index
@@ -169,9 +169,6 @@ pub enum StreamError {
         /// 0-based pull index of the offending job.
         index: u64,
     },
-    /// The config carries a non-empty fault plan; fault injection is only
-    /// supported on the materialized path.
-    FaultsUnsupported,
 }
 
 impl std::fmt::Display for StreamError {
@@ -186,9 +183,6 @@ impl std::fmt::Display for StreamError {
                 f,
                 "job stream is not sorted by arrival (job index {index} arrived before its predecessor)"
             ),
-            StreamError::FaultsUnsupported => {
-                write!(f, "fault plans are not supported on the streaming path")
-            }
         }
     }
 }
@@ -197,8 +191,8 @@ impl std::error::Error for StreamError {}
 
 /// Retirement telemetry of a streaming run: how hard the free-listed slab
 /// and cursor arena were recycled. Kept out of [`EngineStats`] (which
-/// goldens bit-compare against materialized runs) and surfaced both here
-/// and as `ws.stream.*` counters on the obs taxonomy.
+/// goldens bit-compare) and surfaced both here and as `ws.stream.*` /
+/// `central.stream.*` counters on the obs taxonomy.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RetirementStats {
     /// Jobs whose slab slot was recycled after completion.
@@ -224,6 +218,20 @@ impl RetirementStats {
         }
         Some(1.0 - self.slab_slots as f64 / self.jobs_retired as f64)
     }
+
+    /// Emit the `<prefix>.*` retirement counters and reuse gauge.
+    fn record(&self, rec: &mut dyn Recorder, prefix: &str) {
+        rec.counter(&format!("{prefix}.jobs_retired"), self.jobs_retired);
+        rec.counter(
+            &format!("{prefix}.live_jobs_high_water"),
+            self.live_jobs_high_water,
+        );
+        rec.counter(&format!("{prefix}.slab_slots"), self.slab_slots);
+        rec.counter(&format!("{prefix}.cursor_slots"), self.cursor_slots);
+        if let Some(r) = self.slab_reuse_ratio() {
+            rec.gauge(&format!("{prefix}.slab_reuse_ratio"), r);
+        }
+    }
 }
 
 /// Result of a streaming run: everything [`crate::SimResult`] carries
@@ -238,21 +246,56 @@ pub struct StreamSummary {
     pub speed: Speed,
     /// Rounds until the last job completed.
     pub total_rounds: Round,
-    /// Jobs pulled from the stream (all completed).
+    /// Jobs pulled from the stream (all retired, completed or failed).
     pub jobs: u64,
-    /// Engine counters — bit-identical to the materialized run's.
+    /// Engine counters.
     pub stats: EngineStats,
     /// Periodic backlog samples (`config.sample_every`).
     pub samples: Vec<BacklogSample>,
-    /// Maximum flow time over all completed jobs, in ticks (exact).
+    /// Maximum flow time over all retired jobs, in ticks (exact) — the
+    /// same quantity as [`SimResult::max_flow`].
     pub max_flow: Rational,
     /// Slab/arena recycling telemetry.
     pub retire: RetirementStats,
+    /// Faults that fired, in engine-time order (empty under an empty
+    /// plan).
+    pub fault_events: Vec<FaultEvent>,
+}
+
+/// Run an engine core over a replay of `instance` and assemble the
+/// materialized [`SimResult`], outcomes filed by job id: the thin driver
+/// behind every materialized entry point.
+pub(crate) fn replay_instance(
+    instance: &Instance,
+    engine: impl FnOnce(
+        &mut InstanceReplay<'_>,
+        &mut dyn FnMut(&JobOutcome),
+    ) -> Result<(StreamSummary, Option<ScheduleTrace>), StreamError>,
+) -> (SimResult, Option<ScheduleTrace>) {
+    let mut outcomes: Vec<Option<JobOutcome>> = vec![None; instance.len()];
+    let (summary, trace) = engine(&mut InstanceReplay::new(instance), &mut |o| {
+        outcomes[o.job as usize] = Some(o.clone());
+    })
+    .expect("instance replays are arrival-sorted with dense u32 ids"); // lint: allow(panicking) invariant: Instance::new sorts by arrival and renumbers ids densely
+    let outcomes = outcomes
+        .into_iter()
+        .map(|o| o.expect("every job retired")) // lint: allow(panicking) invariant: the engine loops exit only after every pulled job retired
+        .collect();
+    let result = SimResult {
+        m: summary.m,
+        speed: summary.speed,
+        total_rounds: summary.total_rounds,
+        outcomes,
+        stats: summary.stats,
+        samples: summary.samples,
+        fault_events: summary.fault_events,
+    };
+    (result, trace)
 }
 
 /// A live (released, not yet retired) job in the slab. The `Job` keeps the
 /// stream-assigned dense id so admission tie-breaks, priority keys, trace
-/// rows and outcomes are indistinguishable from the materialized run.
+/// rows and outcomes speak in job ids, never slot ids.
 struct Slot {
     job: Job,
     cursor: Option<CursorId>,
@@ -270,8 +313,14 @@ struct JobSlab {
 }
 
 impl JobSlab {
+    /// Release `(id, job)` into a fresh or recycled slot.
     #[inline]
-    fn alloc(&mut self, slot: Slot) -> u32 {
+    fn alloc(&mut self, id: JobId, job: StreamedJob) -> u32 {
+        let slot = Slot {
+            job: Job::weighted(id, job.arrival, job.weight, job.dag),
+            cursor: None,
+            started: None,
+        };
         self.live += 1;
         self.high_water = self.high_water.max(self.live);
         if let Some(sid) = self.free.pop() {
@@ -299,20 +348,79 @@ impl JobSlab {
         self.slots[sid as usize].as_mut().expect("live slot") // lint: allow(panicking) invariant: queued/claimed tasks only reference live slots
     }
 
-    /// Retire a completed job: drop its `Job` (and DAG Arc) and push the
-    /// slot onto the free list for the next arrival.
+    /// The arena cursor of the admitted job in `sid`.
     #[inline]
-    fn retire(&mut self, sid: u32) -> Slot {
-        let slot = self.slots[sid as usize].take().expect("live slot"); // lint: allow(panicking) invariant: a completing job occupies its slab slot exactly once
+    fn cursor(&self, sid: u32) -> CursorId {
+        self.get(sid).cursor.expect("admitted job owns a cursor") // lint: allow(panicking) invariant: every admitted job owns an arena cursor until it retires
+    }
+
+    /// Retire the job in `sid`, which reached `status` during `round`:
+    /// release its cursor, push the slot onto the free list for the next
+    /// arrival, and return the job's outcome.
+    fn finish(
+        &mut self,
+        sid: u32,
+        arena: &mut CursorArena,
+        round: Round,
+        speed: Speed,
+        status: JobStatus,
+    ) -> JobOutcome {
+        let slot = self.slots[sid as usize].take().expect("live slot"); // lint: allow(panicking) invariant: a retiring job occupies its slab slot exactly once
         self.free.push(sid);
         self.live -= 1;
-        slot
+        if let Some(cid) = slot.cursor {
+            arena.release(cid);
+        }
+        JobOutcome {
+            job: slot.job.id,
+            arrival: slot.job.arrival,
+            weight: slot.job.weight,
+            start_round: slot.started.expect("job started"), // lint: allow(panicking) invariant: start_round is recorded before any execution
+            completion_round: round,
+            completion: speed.round_end(round),
+            flow: speed.flow_time(slot.job.arrival, round),
+            status,
+        }
+    }
+
+    fn retirement(&self, arena: &CursorArena, jobs_retired: u64) -> RetirementStats {
+        RetirementStats {
+            jobs_retired,
+            live_jobs_high_water: self.high_water,
+            slab_slots: self.slots.len() as u64,
+            cursor_slots: arena.capacity() as u64,
+        }
     }
 }
 
-/// One-job-lookahead pull state shared by the streaming engines: assigns
-/// dense ids in pull order, validates id space and arrival monotonicity,
-/// and maintains the running totals the growing safety cap needs.
+/// Where retired jobs go: the caller's sink, plus the retirement count
+/// and the exact running max flow.
+struct Retired<'k> {
+    sink: &'k mut dyn FnMut(&JobOutcome),
+    count: u64,
+    max_flow: Rational,
+}
+
+impl<'k> Retired<'k> {
+    fn new(sink: &'k mut dyn FnMut(&JobOutcome)) -> Self {
+        Retired {
+            sink,
+            count: 0,
+            max_flow: Rational::ZERO,
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, out: JobOutcome) {
+        self.count += 1;
+        self.max_flow = self.max_flow.max(out.flow);
+        (self.sink)(&out);
+    }
+}
+
+/// One-job-lookahead pull state shared by the engines: assigns dense ids
+/// in pull order, validates id space and arrival monotonicity, and
+/// maintains the running totals the growing safety cap needs.
 struct Puller<'s, S: JobStream> {
     stream: &'s mut S,
     id_base: u64,
@@ -360,15 +468,44 @@ impl<'s, S: JobStream> Puller<'s, S> {
         self.pending = Some((id64 as u32, job)); // lint: allow(truncating-cast) id64 checked <= u32::MAX just above
         Ok(())
     }
+
+    /// Take the pending job if it has arrived by `round`, pulling its
+    /// successor into the lookahead.
+    #[inline]
+    fn pop_arrived(
+        &mut self,
+        speed: Speed,
+        round: Round,
+    ) -> Result<Option<(JobId, StreamedJob)>, StreamError> {
+        match &self.pending {
+            Some((_, job)) if speed.arrived_by_round(job.arrival, round) => {
+                let arrived = self.pending.take();
+                self.advance()?;
+                Ok(arrived)
+            }
+            _ => Ok(None),
+        }
+    }
+
+    /// First round in which the pending job is visible, if any.
+    #[inline]
+    fn next_arrival_round(&self, speed: Speed) -> Option<Round> {
+        self.pending
+            .as_ref()
+            .map(|(_, job)| speed.first_round_at_or_after(job.arrival))
+    }
 }
 
-/// Simulate work stealing over a [`JobStream`], pushing each completed
-/// job's [`JobOutcome`] into `sink` (in completion order) instead of
-/// accumulating them. Bit-identical to [`crate::run_worksteal`] when the
-/// stream replays a materialized instance — same RNG stream, same
-/// [`EngineStats`], same trace — but with O(active + m) live memory.
+/// Simulate work stealing over a [`JobStream`], pushing each retired
+/// job's [`JobOutcome`] into `sink` (in retirement order) instead of
+/// accumulating them. Same schedule as [`crate::run_worksteal`] on the
+/// materialization of the stream — same RNG stream, same [`EngineStats`],
+/// same trace, same fault events — in O(active + m) live memory.
 ///
-/// `config.faults` must be empty ([`StreamError::FaultsUnsupported`]).
+/// # Panics
+///
+/// If `config.faults` is invalid for `config.m` (see
+/// [`crate::FaultPlan::validate`]), like every simulator entry point.
 pub fn run_worksteal_stream<S: JobStream>(
     stream: &mut S,
     config: &SimConfig,
@@ -380,10 +517,11 @@ pub fn run_worksteal_stream<S: JobStream>(
 }
 
 /// [`run_worksteal_stream`] with a [`Recorder`] attached. Emits the same
-/// `ws.*` / `ws.worker.*` taxonomy as the materialized engine plus
-/// `ws.stream.*` retirement counters; per-job `ws.flow_ticks` samples are
-/// intentionally **not** emitted (the recorder would grow O(n) on a 10M-job
-/// stream — sample from the sink instead).
+/// `ws.*` / `ws.worker.*` taxonomy as [`crate::run_worksteal_observed`]
+/// minus the fault counters, plus `ws.stream.*` retirement counters;
+/// per-job `ws.flow_ticks` samples are intentionally **not** emitted (the
+/// recorder would grow O(n) on a 10M-job stream — sample from the sink
+/// instead).
 pub fn run_worksteal_stream_observed<S: JobStream>(
     stream: &mut S,
     config: &SimConfig,
@@ -392,14 +530,20 @@ pub fn run_worksteal_stream_observed<S: JobStream>(
     sink: &mut dyn FnMut(&JobOutcome),
     rec: &mut dyn Recorder,
 ) -> Result<(StreamSummary, Option<ScheduleTrace>), StreamError> {
-    run_worksteal_stream_with_base(stream, config, policy, seed, sink, rec, 0)
+    let out = run_worksteal_stream_with_base(stream, config, policy, seed, sink, rec, 0)?;
+    if rec.enabled() {
+        out.0.retire.record(rec, "ws.stream");
+    }
+    Ok(out)
 }
 
-/// [`run_worksteal_stream_observed`] with job ids starting at `id_base`
-/// instead of 0. Exists so the `TooManyJobs` id-space guard is testable at
-/// the `u32::MAX` boundary without streaming 4 billion jobs first.
-#[doc(hidden)]
-pub fn run_worksteal_stream_with_base<S: JobStream>(
+/// The work-stealing engine behind every work-stealing entry point, with
+/// job ids starting at `id_base` (which exists so the `TooManyJobs`
+/// id-space guard is testable at the `u32::MAX` boundary without
+/// streaming 4 billion jobs first). Emits the `ws.worker.*` counters, the
+/// engine-level `ws.*` counters every entry point shares and the
+/// `ws.total_rounds` gauge; each entry point adds its own.
+pub(crate) fn run_worksteal_stream_with_base<S: JobStream>(
     stream: &mut S,
     config: &SimConfig,
     policy: StealPolicy,
@@ -411,82 +555,166 @@ pub fn run_worksteal_stream_with_base<S: JobStream>(
     let m = config.m;
     let speed = config.speed;
     let k = policy.k();
-    if !config.faults.is_empty() {
-        return Err(StreamError::FaultsUnsupported);
+    let faults = &config.faults;
+    if let Err(e) = faults.validate(m) {
+        panic!("invalid fault plan: {e}"); // lint: allow(panicking) documented contract: simulator entry points panic on invalid fault plans, validated before any stepping
     }
     let mut rng = SmallRng::seed_from_u64(seed);
 
     let mut workers: Vec<Worker> = (0..m).map(Worker::new).collect();
     let mut arena = CursorArena::new();
     let mut slab = JobSlab::default();
-    // The global FIFO holds slab slot ids; arrival order is preserved, so
-    // FIFO admission pops the oldest job exactly like the materialized
-    // queue of job ids.
+    // The global FIFO holds slab slot ids in arrival order.
     let mut global_queue: VecDeque<u32> = VecDeque::new();
     let mut stats = EngineStats::default();
     let mut trace = config.record_trace.then(|| ScheduleTrace::new(m, speed));
     let mut samples: Vec<BacklogSample> = Vec::new();
 
+    // Hoisted once: with the NullRecorder every `if obs` below is a dead
+    // branch and `wobs` stays empty (no allocation).
     let obs = rec.enabled();
     let mut wobs: Vec<WorkerObs> = if obs {
         vec![WorkerObs::default(); m]
     } else {
         Vec::new()
     };
-    // The fault machinery of the materialized engine is a no-op under an
-    // empty plan; only the blackhole mask survives into the shared steal
-    // helpers (all false here).
-    let blackholed: Vec<bool> = vec![false; m];
+
+    // Fault machinery, inert under an empty plan. Orphaned tasks from
+    // crashed workers go into a global FIFO of their own: claimed-node
+    // state lives in the job's cursor, so an adopting worker resumes
+    // exactly where the dead one stopped without re-racing for the nodes.
+    let faulty = !faults.is_empty();
+    let mut fault_events: Vec<FaultEvent> = Vec::new();
+    let mut orphans: VecDeque<(u32, NodeId)> = VecDeque::new();
+    let mut alive: Vec<bool> = vec![true; m];
+    let mut alive_count = m;
+    let mut was_stalled: Vec<bool> = vec![false; m];
+    let mut gates: Vec<SlowdownGate> = (0..m)
+        .map(|p| SlowdownGate::new(faults.rate_ppm_of(p)))
+        .collect();
+    let blackholed: Vec<bool> = (0..m).map(|p| faults.is_blackhole(p)).collect();
+    let sampler = PanicSampler::new(seed, faults.panic_ppm);
+    let has_stalls = !faults.stalls.is_empty();
+    let mut crash_pending = (0..m).any(|p| faults.crash_round_of(p).is_some());
+    // Rounds at which the plan changes some worker's behaviour, sorted
+    // once up front; quiescent fast-forwards must not skip them.
+    let fault_boundaries: Vec<Round> = {
+        let mut b: Vec<Round> = faults
+            .crashes
+            .iter()
+            .map(|c| c.at_round)
+            .chain(
+                faults
+                    .stalls
+                    .iter()
+                    .flat_map(|s| [s.from_round, s.from_round.saturating_add(s.duration)]),
+            )
+            .collect();
+        b.sort_unstable();
+        b.dedup();
+        b
+    };
+    let next_fault_boundary = |round: Round| -> Option<Round> {
+        let i = fault_boundaries.partition_point(|&b| b <= round);
+        fault_boundaries.get(i).copied()
+    };
+    // The event-window fast path below bulk-steps uneventful round spans.
+    // It preserves the RNG stream bit-for-bit but compresses bookkeeping,
+    // so it is only taken when no fault can fire and no trace row is
+    // needed.
+    let fast_ok = !faulty && !config.record_trace;
+
+    // Rounds with admitted live work always execute ≥ 1 unit; rounds with
+    // only queued jobs admit within ≤ k+1 rounds; quiescent gaps are
+    // skipped. Under faults, stalls add dead rounds, slowdowns stretch
+    // execution by up to PPM/best_rate, and fault boundaries bound
+    // fast-forward clamping. Anything past this cap is an engine bug. It
+    // covers the pulled prefix and grows with every pull: each round the
+    // engine can reach is justified by jobs already pulled.
+    let stall_total: Round = faults.stalls.iter().map(|s| s.duration).sum();
+    let best_rate = (0..m)
+        .filter(|&p| faults.crash_round_of(p).is_none())
+        .map(|p| faults.rate_ppm_of(p))
+        .max()
+        .unwrap_or(PPM)
+        .max(1);
+    let stretch = (PPM as Round).div_ceil(best_rate as Round);
+    let last_fault = faults.last_scheduled_round().unwrap_or(0);
+    let cap = |p: &Puller<'_, S>| -> Round {
+        let base = speed.first_round_at_or_after(p.last_arrival)
+            + p.total_work
+            + (k as Round + 2) * (p.produced + m as Round)
+            + 64;
+        if faulty {
+            base * stretch + last_fault + stall_total + 64
+        } else {
+            base
+        }
+    };
 
     let mut puller = Puller::new(stream, id_base)?;
+    let mut safety_cap = cap(&puller);
+    let mut retired = Retired::new(sink);
     let mut released: u64 = 0;
-    let mut completed: u64 = 0;
+    // Jobs admitted but not yet retired.
     let mut live_admitted = 0usize;
     let mut round: Round = 0;
     let mut last_busy_round: Round = 0;
-    let mut max_flow = Rational::ZERO;
-    let mut jobs_retired: u64 = 0;
-
-    // Same bound as the materialized engine, but over the pulled prefix:
-    // every round the engine can reach is justified by jobs already pulled,
-    // so recomputing from the running totals after each pull keeps the
-    // invariant. (Fault-free, so no plan-dependent stretching.)
-    let cap = |last_arrival: Ticks, total_work: u64, produced: u64| -> Round {
-        speed.first_round_at_or_after(last_arrival)
-            + total_work
-            + (k as Round + 2) * (produced + m as Round)
-            + 64
-    };
-    let mut safety_cap: Round = cap(puller.last_arrival, puller.total_work, puller.produced);
-
-    let fast_ok = !config.record_trace;
 
     // Scratch buffers hoisted out of the hot loop.
     let mut ready_scratch: Vec<NodeId> = Vec::new();
     let mut sources_scratch: Vec<NodeId> = Vec::new();
 
-    'rounds: while puller.pending.is_some() || completed < released {
+    'rounds: while puller.pending.is_some() || retired.count < released {
         assert!(
             round <= safety_cap,
-            "streaming work-stealing engine exceeded round cap"
+            "work-stealing engine exceeded round cap"
         );
+
+        // Crash pre-pass: workers whose crash round has come die at the
+        // start of the round; their current task, deque and pending pushes
+        // are reinjected into the orphan FIFO for survivors to adopt.
+        // Skipped entirely once every scheduled crash has fired.
+        if crash_pending {
+            for p in 0..m {
+                if alive[p] && faults.crash_round_of(p).is_some_and(|cr| cr <= round) {
+                    alive[p] = false;
+                    alive_count -= 1;
+                    stats.crashed_workers += 1;
+                    fault_events.push(FaultEvent {
+                        round,
+                        worker: Some(p),
+                        job: None,
+                        kind: FaultKind::Crash,
+                        detail: 0,
+                    });
+                    let w = &mut workers[p];
+                    let before = orphans.len();
+                    orphans.extend(w.current.take());
+                    orphans.extend(w.deque.drain(..));
+                    orphans.extend(w.pending.drain(..));
+                    let reinjected = (orphans.len() - before) as u64;
+                    if reinjected > 0 {
+                        stats.reinjected_tasks += reinjected;
+                        fault_events.push(FaultEvent {
+                            round,
+                            worker: Some(p),
+                            job: None,
+                            kind: FaultKind::OrphanReinjection,
+                            detail: reinjected,
+                        });
+                    }
+                }
+            }
+            crash_pending = (0..m).any(|q| alive[q] && faults.crash_round_of(q).is_some());
+        }
 
         // Release arrivals into the global FIFO queue, pulling the next
         // job after each release (one-job lookahead).
-        while let Some((jid, job)) = puller.pending.as_ref() {
-            if !speed.arrived_by_round(job.arrival, round) {
-                break;
-            }
-            let (jid, job) = (*jid, job.clone());
-            let sid = slab.alloc(Slot {
-                job: Job::weighted(jid, job.arrival, job.weight, job.dag),
-                cursor: None,
-                started: None,
-            });
-            global_queue.push_back(sid);
+        while let Some((jid, job)) = puller.pop_arrived(speed, round)? {
+            global_queue.push_back(slab.alloc(jid, job));
             released += 1;
-            puller.advance()?;
-            safety_cap = cap(puller.last_arrival, puller.total_work, puller.produced);
+            safety_cap = cap(&puller);
         }
 
         if config.sample_every > 0 && round.is_multiple_of(config.sample_every) {
@@ -494,32 +722,41 @@ pub fn run_worksteal_stream_with_base<S: JobStream>(
                 round,
                 queued: global_queue.len(),
                 live: live_admitted,
-                deque_tasks: workers.iter().map(|w| w.deque.len()).sum::<usize>(),
+                deque_tasks: workers.iter().map(|w| w.deque.len()).sum::<usize>() + orphans.len(),
             });
         }
 
         // Quiescent fast-forward: nothing admitted is live and nothing is
-        // queued — skip to the next arrival.
-        if live_admitted == 0 && global_queue.is_empty() {
-            // `completed == released` here, so the loop condition
-            // guarantees a pending job exists.
-            let (_, job) = puller
-                .pending
-                .as_ref()
+        // queued — skip to the next arrival. The skipped rounds would be
+        // failed steal attempts; count every one of them. Fault
+        // boundaries clamp the jump so crash/stall transitions still fire
+        // at their scheduled rounds.
+        if live_admitted == 0 && global_queue.is_empty() && orphans.is_empty() {
+            // Every released job retired, so the loop condition
+            // guarantees a pending arrival.
+            let mut target = puller
+                .next_arrival_round(speed)
                 .expect("deadlock: nothing live, nothing queued"); // lint: allow(panicking) invariant: loop condition guarantees a pending arrival when the backlog is empty
-            let target = speed.first_round_at_or_after(job.arrival);
+            if let Some(boundary) = next_fault_boundary(round) {
+                target = target.min(boundary);
+            }
             debug_assert!(target > round, "fast-forward must move time forward");
             let gap = target - round;
-            stats.idle_steps += gap * m as u64;
+            stats.idle_steps += gap * alive_count as u64;
             for (p, w) in workers.iter_mut().enumerate() {
-                w.failed_steals = w.failed_steals.saturating_add(gap);
-                if obs {
-                    let o = &mut wobs[p];
-                    o.failed_steal_rounds += gap;
-                    o.idle_steps += gap;
-                    o.max_failed_streak = o.max_failed_streak.max(w.failed_steals);
+                if alive[p] {
+                    w.failed_steals = w.failed_steals.saturating_add(gap);
+                    if obs {
+                        let o = &mut wobs[p];
+                        o.failed_steal_rounds += gap;
+                        o.idle_steps += gap;
+                        o.max_failed_streak = o.max_failed_streak.max(w.failed_steals);
+                    }
                 }
             }
+            // Backlog samples falling inside the skipped span are still
+            // emitted (the backlog is empty by construction), so sampled
+            // series stay evenly spaced across gaps.
             if config.sample_every > 0 {
                 let se = config.sample_every;
                 let mut s = (round / se + 1) * se;
@@ -540,18 +777,25 @@ pub fn run_worksteal_stream_with_base<S: JobStream>(
             continue;
         }
 
-        // Event-window fast path — identical to the materialized engine's
-        // (see `run_worksteal_observed` for the full argument), with the
-        // next *pending* arrival capping the span.
+        // Event-window fast path: between events the round-by-round
+        // behaviour is forced. If every worker is busy (nobody pops, admits
+        // or steals), or the idle workers provably cannot acquire anything
+        // (global queue and every deque empty — so every steal attempt
+        // fails), then until the next node completion or arrival each
+        // round repeats the same pattern. Consume the whole span at once:
+        // busy workers bulk-execute their current node, idle workers'
+        // failed steal attempts are replayed onto the RNG stream without
+        // computing victims. Completions land in the last round of the
+        // span, exactly where the per-round loop would put them.
         'window: {
             if !fast_ok {
                 break 'window;
             }
-            let arrival_cap = if let Some((_, job)) = puller.pending.as_ref() {
-                speed.first_round_at_or_after(job.arrival) - round
-            } else {
-                u64::MAX
-            };
+            // Cheapest cap first: if the next arrival lands next round the
+            // span can only be 1 round — skip the worker scan entirely.
+            let arrival_cap = puller
+                .next_arrival_round(speed)
+                .map_or(u64::MAX, |r| r - round);
             if arrival_cap < 2 {
                 break 'window;
             }
@@ -560,168 +804,147 @@ pub fn run_worksteal_stream_with_base<S: JobStream>(
             let mut deques_empty = true;
             for w in &workers {
                 if let Some((sid, v)) = w.current {
-                    let cid = slab.get(sid).cursor.expect("admitted job"); // lint: allow(panicking) invariant: every admitted job owns an arena cursor until completion
                     let rem = arena
-                        .get(cid)
+                        .get(slab.cursor(sid))
                         .remaining_work(v)
                         .expect("current node in range"); // lint: allow(panicking) invariant: cursors only hold nodes of their own DAG
                     if rem < 2 {
+                        // The span is capped at 1 round — the per-round
+                        // loop handles that more cheaply than span setup.
                         break 'window;
                     }
-                    if rem < min_rem {
-                        min_rem = rem;
-                    }
+                    min_rem = min_rem.min(rem);
                     busy += 1;
                 }
                 if !w.deque.is_empty() {
                     deques_empty = false;
                 }
             }
-            let eligible = busy > 0 && (busy == m || (global_queue.is_empty() && deques_empty));
-            if eligible {
-                let delta = min_rem.min(arrival_cap);
-                let last = round + delta - 1;
-                if config.sample_every > 0 {
-                    let se = config.sample_every;
-                    let queued = global_queue.len();
-                    let deque_tasks = workers.iter().map(|w| w.deque.len()).sum::<usize>();
-                    let mut s = (round / se + 1) * se;
-                    while s <= last {
-                        samples.push(BacklogSample {
-                            round: s,
-                            queued,
-                            live: live_admitted,
-                            deque_tasks,
-                        });
-                        s += se;
-                    }
-                }
-                if busy < m {
-                    debug_assert!(global_queue.is_empty() && deques_empty);
-                    let per_round: u64 = match config.steal_cost {
-                        StealCost::UnitStep => 1,
-                        StealCost::Free => {
-                            if k == 0 {
-                                2 * m as u64
-                            } else {
-                                k as u64
-                            }
-                        }
-                    };
-                    let idle = (m - busy) as u64;
-                    stats.steal_attempts += delta * per_round * idle;
-                    if obs {
-                        for (p, w) in workers.iter().enumerate() {
-                            if w.current.is_none() {
-                                wobs[p].steal_attempts += delta * per_round;
-                            }
-                        }
-                    }
-                    match config.victim {
-                        VictimStrategy::Uniform => {
-                            crate::worksteal::burn_uniform_draws(
-                                &mut rng,
-                                m,
-                                delta * per_round * idle,
-                            );
-                        }
-                        VictimStrategy::RoundRobinScan => {
-                            for (p, w) in workers.iter_mut().enumerate() {
-                                if w.current.is_none() {
-                                    w.scan_next = crate::worksteal::advance_scan(
-                                        w.scan_next,
-                                        p,
-                                        m,
-                                        delta * per_round,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    match config.steal_cost {
-                        StealCost::UnitStep => {
-                            for (p, w) in workers.iter_mut().enumerate() {
-                                if w.current.is_none() {
-                                    w.failed_steals = w.failed_steals.saturating_add(delta);
-                                    if obs {
-                                        let o = &mut wobs[p];
-                                        o.failed_steal_rounds += delta;
-                                        o.max_failed_streak =
-                                            o.max_failed_streak.max(w.failed_steals);
-                                    }
-                                }
-                            }
-                        }
-                        StealCost::Free => {
-                            stats.idle_steps += delta * idle;
-                            if obs {
-                                for (p, w) in workers.iter().enumerate() {
-                                    if w.current.is_none() {
-                                        wobs[p].idle_steps += delta;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                for (p, w) in workers.iter_mut().enumerate() {
-                    let Some((sid, v)) = w.current else {
-                        continue;
-                    };
-                    let cid = slab.get(sid).cursor.expect("admitted job"); // lint: allow(panicking) invariant: every admitted job owns an arena cursor until completion
-                    stats.work_steps += delta;
-                    if obs {
-                        wobs[p].work_steps += delta;
-                    }
-                    w.failed_steals = 0;
-                    ready_scratch.clear();
-                    let outcome = {
-                        let slot = slab.get(sid);
-                        arena
-                            .get_mut(cid)
-                            .execute_units(&slot.job.dag, v, delta, &mut ready_scratch)
-                            .expect("current node claimed") // lint: allow(panicking) invariant: executed nodes were claimed by this cursor
-                    };
-                    match outcome {
-                        StepOutcome::InProgress => {}
-                        StepOutcome::NodeCompleted { job_completed } => {
-                            w.current = None;
-                            let cursor = arena.get_mut(cid);
-                            for &u in ready_scratch.iter() {
-                                cursor.claim(u).expect("newly ready claimable"); // lint: allow(panicking) invariant: nodes entering the ready set are unclaimed
-                                w.pending.push((sid, u));
-                            }
-                            if job_completed {
-                                arena.release(cid);
-                                let slot = slab.retire(sid);
-                                jobs_retired += 1;
-                                live_admitted -= 1;
-                                completed += 1;
-                                let out = JobOutcome {
-                                    job: slot.job.id,
-                                    arrival: slot.job.arrival,
-                                    weight: slot.job.weight,
-                                    start_round: slot.started.expect("job admitted"), // lint: allow(panicking) invariant: start_round is recorded at admission, before execution
-                                    completion_round: last,
-                                    completion: speed.round_end(last),
-                                    flow: speed.flow_time(slot.job.arrival, last),
-                                    status: JobStatus::Completed,
-                                };
-                                max_flow = max_flow.max(out.flow);
-                                sink(&out);
-                            }
-                        }
-                    }
-                }
-                for w in &mut workers {
-                    for task in w.pending.drain(..) {
-                        w.deque.push_back(task);
-                    }
-                }
-                last_busy_round = last;
-                round += delta;
-                continue 'rounds;
+            if busy == 0 || (busy < m && !(global_queue.is_empty() && deques_empty)) {
+                break 'window;
             }
+            // ≥ 2 by construction: every remaining-work and the arrival
+            // cap were pre-checked, so the span always beats per-round.
+            let delta = min_rem.min(arrival_cap);
+            let last = round + delta - 1;
+            // Backlog state is constant at the top of every round in the
+            // span (completions only land *during* the last one), so
+            // interior samples all read the same values.
+            if config.sample_every > 0 {
+                let se = config.sample_every;
+                let queued = global_queue.len();
+                let deque_tasks = workers.iter().map(|w| w.deque.len()).sum::<usize>();
+                let mut s = (round / se + 1) * se;
+                while s <= last {
+                    samples.push(BacklogSample {
+                        round: s,
+                        queued,
+                        live: live_admitted,
+                        deque_tasks,
+                    });
+                    s += se;
+                }
+            }
+            if busy < m {
+                let per_round: u64 = match config.steal_cost {
+                    StealCost::UnitStep => 1,
+                    StealCost::Free if k == 0 => 2 * m as u64,
+                    StealCost::Free => k as u64,
+                };
+                let idle = (m - busy) as u64;
+                stats.steal_attempts += delta * per_round * idle;
+                if obs {
+                    for (p, w) in workers.iter().enumerate() {
+                        if w.current.is_none() {
+                            wobs[p].steal_attempts += delta * per_round;
+                        }
+                    }
+                }
+                match config.victim {
+                    VictimStrategy::Uniform => {
+                        burn_uniform_draws(&mut rng, m, delta * per_round * idle);
+                    }
+                    VictimStrategy::RoundRobinScan => {
+                        for (p, w) in workers.iter_mut().enumerate() {
+                            if w.current.is_none() {
+                                w.scan_next = advance_scan(w.scan_next, p, m, delta * per_round);
+                            }
+                        }
+                    }
+                }
+                match config.steal_cost {
+                    StealCost::UnitStep => {
+                        // A failed unit-cost steal consumes the round and
+                        // bumps the failure counter.
+                        for (p, w) in workers.iter_mut().enumerate() {
+                            if w.current.is_none() {
+                                w.failed_steals = w.failed_steals.saturating_add(delta);
+                                if obs {
+                                    let o = &mut wobs[p];
+                                    o.failed_steal_rounds += delta;
+                                    o.max_failed_streak = o.max_failed_streak.max(w.failed_steals);
+                                }
+                            }
+                        }
+                    }
+                    StealCost::Free => {
+                        // Free attempts cost nothing; the round itself is
+                        // recorded as idle.
+                        stats.idle_steps += delta * idle;
+                        if obs {
+                            for (p, w) in workers.iter().enumerate() {
+                                if w.current.is_none() {
+                                    wobs[p].idle_steps += delta;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            for (p, w) in workers.iter_mut().enumerate() {
+                let Some((sid, v)) = w.current else {
+                    continue;
+                };
+                let cid = slab.cursor(sid);
+                stats.work_steps += delta;
+                if obs {
+                    wobs[p].work_steps += delta;
+                }
+                w.failed_steals = 0;
+                ready_scratch.clear();
+                let cursor = arena.get_mut(cid);
+                let outcome = cursor
+                    .execute_units(&slab.get(sid).job.dag, v, delta, &mut ready_scratch)
+                    .expect("current node claimed"); // lint: allow(panicking) invariant: executed nodes were claimed by this cursor
+                if let StepOutcome::NodeCompleted { job_completed } = outcome {
+                    w.current = None;
+                    for &u in ready_scratch.iter() {
+                        cursor.claim(u).expect("newly ready claimable"); // lint: allow(panicking) invariant: nodes entering the ready set are unclaimed
+                        w.pending.push((sid, u));
+                    }
+                    if job_completed {
+                        // Last live node of the job: no other worker's
+                        // `current` can reference this slot, safe to
+                        // recycle.
+                        live_admitted -= 1;
+                        retired.push(slab.finish(
+                            sid,
+                            &mut arena,
+                            last,
+                            speed,
+                            JobStatus::Completed,
+                        ));
+                    }
+                }
+            }
+            for w in &mut workers {
+                for task in w.pending.drain(..) {
+                    w.deque.push_back(task);
+                }
+            }
+            last_busy_round = last;
+            round += delta;
+            continue 'rounds;
         }
 
         let mut row: Vec<Action> = if config.record_trace {
@@ -729,57 +952,74 @@ pub fn run_worksteal_stream_with_base<S: JobStream>(
         } else {
             Vec::new()
         };
+        // All-deques-empty knowledge, shared across this round's steal
+        // sites: `Some(false)` ⇒ every attempt fails (burn it), computed at
+        // most once per round and invalidated by any deque change.
         let mut stealable_cache: Option<bool> = None;
 
         for p in 0..m {
-            // 1. Acquire work if idle: own deque → (policy) admit/steal.
+            // 0. Fault gates: dead workers do nothing; stalled workers
+            // freeze (their deques stay stealable); slowed workers only
+            // act in the rounds their credit gate opens.
+            if faulty {
+                let mut frozen = !alive[p];
+                if !frozen && has_stalls {
+                    let stalled = faults.is_stalled(p, round);
+                    if stalled != was_stalled[p] {
+                        was_stalled[p] = stalled;
+                        fault_events.push(FaultEvent {
+                            round,
+                            worker: Some(p),
+                            job: None,
+                            kind: if stalled {
+                                FaultKind::StallBegin
+                            } else {
+                                FaultKind::StallEnd
+                            },
+                            detail: 0,
+                        });
+                    }
+                    frozen = stalled;
+                    stats.faulted_steps += stalled as u64;
+                }
+                if !frozen && !gates[p].is_full_speed() && !gates[p].tick() {
+                    frozen = true;
+                    stats.faulted_steps += 1;
+                }
+                if frozen {
+                    if config.record_trace {
+                        row.push(Action::Idle);
+                    }
+                    continue;
+                }
+            }
+
+            // 1. Acquire work if idle: own deque → orphan FIFO → (policy)
+            //    admit/steal. Adopting an orphaned task is free, like
+            //    popping the own deque: the task was already claimed by the
+            //    crashed worker, no coordination is needed.
             if workers[p].current.is_none() {
-                if let Some(task) = workers[p].deque.pop_back() {
+                workers[p].current = workers[p].deque.pop_back();
+            }
+            if workers[p].current.is_none() {
+                if let Some(task) = orphans.pop_front() {
                     workers[p].current = Some(task);
+                    workers[p].failed_steals = 0;
                 }
             }
             if workers[p].current.is_none() {
-                match config.steal_cost {
+                let admit = match config.steal_cost {
                     StealCost::UnitStep => {
-                        let admit_now = match policy {
-                            StealPolicy::AdmitFirst => !global_queue.is_empty(),
-                            StealPolicy::StealKFirst { k } => {
-                                workers[p].failed_steals >= k as u64 && !global_queue.is_empty()
-                            }
-                        };
-                        if admit_now {
-                            let sid =
-                                pop_admission_slot(&mut global_queue, &slab, config.admission)
-                                    .expect("queue non-empty"); // lint: allow(panicking) emptiness checked immediately above
-                            admit_slot(
-                                sid,
-                                p,
-                                &mut slab,
-                                &mut workers,
-                                &mut arena,
-                                &mut sources_scratch,
-                                round,
-                            );
-                            live_admitted += 1;
-                            stats.admissions += 1;
-                            if obs {
-                                wobs[p].admissions += 1;
-                            }
-                            stealable_cache = None;
-                        } else {
+                        if global_queue.is_empty() || workers[p].failed_steals < k as u64 {
+                            // Steal attempt: one full round; the stolen
+                            // node (if any) starts executing next round.
                             stats.steal_attempts += 1;
                             if obs {
                                 wobs[p].steal_attempts += 1;
                             }
-                            let stealable = match stealable_cache {
-                                Some(v) => v,
-                                None => {
-                                    let v = any_stealable(&workers, &blackholed);
-                                    stealable_cache = Some(v);
-                                    v
-                                }
-                            };
-                            let hit = if stealable {
+                            let hit = if *stealable_cache
+                                .get_or_insert_with(|| any_stealable(&workers, &blackholed))
+                            {
                                 steal_into(
                                     p,
                                     &mut workers,
@@ -814,156 +1054,91 @@ pub fn run_worksteal_stream_with_base<S: JobStream>(
                             }
                             continue;
                         }
+                        true
                     }
+                    // Instantaneous acquisition: steal attempts cost
+                    // nothing; only executing work (or finding none)
+                    // consumes the round. Admit-first (`k = 0`) admits
+                    // before scanning 2m victims, steal-k-first admits
+                    // after k failed attempts.
+                    StealCost::Free if k == 0 && !global_queue.is_empty() => true,
                     StealCost::Free => {
-                        if k == 0 {
-                            if let Some(sid) =
-                                pop_admission_slot(&mut global_queue, &slab, config.admission)
-                            {
-                                admit_slot(
-                                    sid,
-                                    p,
-                                    &mut slab,
-                                    &mut workers,
-                                    &mut arena,
-                                    &mut sources_scratch,
-                                    round,
-                                );
-                                live_admitted += 1;
-                                stats.admissions += 1;
+                        let attempts = if k == 0 { 2 * m as u64 } else { k as u64 };
+                        if *stealable_cache
+                            .get_or_insert_with(|| any_stealable(&workers, &blackholed))
+                        {
+                            for _ in 0..attempts {
+                                stats.steal_attempts += 1;
                                 if obs {
-                                    wobs[p].admissions += 1;
+                                    wobs[p].steal_attempts += 1;
                                 }
-                                stealable_cache = None;
-                            } else {
-                                let attempts = 2 * m.max(1) as u32; // lint: allow(truncating-cast) m is the processor count; a 2^32-processor instance is unrepresentable
-                                let stealable = match stealable_cache {
-                                    Some(v) => v,
-                                    None => {
-                                        let v = any_stealable(&workers, &blackholed);
-                                        stealable_cache = Some(v);
-                                        v
-                                    }
-                                };
-                                if stealable {
-                                    for _ in 0..attempts {
-                                        stats.steal_attempts += 1;
-                                        if obs {
-                                            wobs[p].steal_attempts += 1;
-                                        }
-                                        if steal_into(
-                                            p,
-                                            &mut workers,
-                                            &mut rng,
-                                            config.victim,
-                                            config.steal_amount,
-                                            &blackholed,
-                                        ) {
-                                            stats.successful_steals += 1;
-                                            if obs {
-                                                wobs[p].successful_steals += 1;
-                                            }
-                                            stealable_cache = None;
-                                            break;
-                                        }
-                                    }
-                                } else {
-                                    stats.steal_attempts += attempts as u64;
+                                if steal_into(
+                                    p,
+                                    &mut workers,
+                                    &mut rng,
+                                    config.victim,
+                                    config.steal_amount,
+                                    &blackholed,
+                                ) {
+                                    stats.successful_steals += 1;
                                     if obs {
-                                        wobs[p].steal_attempts += attempts as u64;
+                                        wobs[p].successful_steals += 1;
                                     }
-                                    burn_failed_attempts(
-                                        &mut rng,
-                                        &mut workers,
-                                        p,
-                                        config.victim,
-                                        attempts as u64,
-                                    );
+                                    stealable_cache = None;
+                                    break;
                                 }
                             }
                         } else {
-                            let stealable = match stealable_cache {
-                                Some(v) => v,
-                                None => {
-                                    let v = any_stealable(&workers, &blackholed);
-                                    stealable_cache = Some(v);
-                                    v
-                                }
-                            };
-                            if stealable {
-                                for _ in 0..k {
-                                    stats.steal_attempts += 1;
-                                    if obs {
-                                        wobs[p].steal_attempts += 1;
-                                    }
-                                    if steal_into(
-                                        p,
-                                        &mut workers,
-                                        &mut rng,
-                                        config.victim,
-                                        config.steal_amount,
-                                        &blackholed,
-                                    ) {
-                                        stats.successful_steals += 1;
-                                        if obs {
-                                            wobs[p].successful_steals += 1;
-                                        }
-                                        stealable_cache = None;
-                                        break;
-                                    }
-                                }
-                            } else {
-                                stats.steal_attempts += k as u64;
-                                if obs {
-                                    wobs[p].steal_attempts += k as u64;
-                                }
-                                burn_failed_attempts(
-                                    &mut rng,
-                                    &mut workers,
-                                    p,
-                                    config.victim,
-                                    k as u64,
-                                );
-                            }
-                            if workers[p].current.is_none() {
-                                if let Some(sid) =
-                                    pop_admission_slot(&mut global_queue, &slab, config.admission)
-                                {
-                                    admit_slot(
-                                        sid,
-                                        p,
-                                        &mut slab,
-                                        &mut workers,
-                                        &mut arena,
-                                        &mut sources_scratch,
-                                        round,
-                                    );
-                                    live_admitted += 1;
-                                    stats.admissions += 1;
-                                    if obs {
-                                        wobs[p].admissions += 1;
-                                    }
-                                    stealable_cache = None;
-                                }
-                            }
-                        }
-                        if workers[p].current.is_none() {
-                            stats.idle_steps += 1;
+                            stats.steal_attempts += attempts;
                             if obs {
-                                wobs[p].idle_steps += 1;
+                                wobs[p].steal_attempts += attempts;
                             }
-                            if config.record_trace {
-                                row.push(Action::Idle);
-                            }
-                            continue;
+                            burn_failed_attempts(
+                                &mut rng,
+                                &mut workers,
+                                p,
+                                config.victim,
+                                attempts,
+                            );
                         }
+                        k > 0 && workers[p].current.is_none() && !global_queue.is_empty()
                     }
+                };
+                if admit {
+                    let sid = pop_admission_slot(&mut global_queue, &slab, config.admission)
+                        .expect("queue non-empty"); // lint: allow(panicking) emptiness checked on every path that sets `admit`
+                    admit_slot(
+                        sid,
+                        p,
+                        &mut slab,
+                        &mut workers,
+                        &mut arena,
+                        &mut sources_scratch,
+                        round,
+                    );
+                    live_admitted += 1;
+                    stats.admissions += 1;
+                    if obs {
+                        wobs[p].admissions += 1;
+                    }
+                    stealable_cache = None;
+                }
+                if workers[p].current.is_none() {
+                    // Only free steals reach here empty-handed.
+                    stats.idle_steps += 1;
+                    if obs {
+                        wobs[p].idle_steps += 1;
+                    }
+                    if config.record_trace {
+                        row.push(Action::Idle);
+                    }
+                    continue;
                 }
             }
 
             // 2. Execute one unit of the current node.
             let (sid, v) = workers[p].current.expect("acquired work above"); // lint: allow(panicking) set on the acquisition path immediately above
-            let cid = slab.get(sid).cursor.expect("admitted job"); // lint: allow(panicking) invariant: every admitted job owns an arena cursor until completion
+            let cid = slab.cursor(sid);
             let jid = slab.get(sid).job.id;
             stats.work_steps += 1;
             if obs {
@@ -971,48 +1146,54 @@ pub fn run_worksteal_stream_with_base<S: JobStream>(
             }
             workers[p].failed_steals = 0;
             ready_scratch.clear();
-            let outcome = {
-                let slot = slab.get(sid);
-                arena
-                    .get_mut(cid)
-                    .execute_unit_into(&slot.job.dag, v, &mut ready_scratch)
-                    .expect("current node claimed") // lint: allow(panicking) invariant: executed nodes were claimed by this cursor
-            };
-            match outcome {
-                StepOutcome::InProgress => {}
-                StepOutcome::NodeCompleted { job_completed } => {
-                    workers[p].current = None;
-                    let cursor = arena.get_mut(cid);
-                    for &u in ready_scratch.iter() {
-                        cursor.claim(u).expect("newly ready claimable"); // lint: allow(panicking) invariant: nodes entering the ready set are unclaimed
-                        workers[p].pending.push((sid, u));
-                    }
-                    if job_completed {
-                        arena.release(cid);
-                        let slot = slab.retire(sid);
-                        jobs_retired += 1;
-                        live_admitted -= 1;
-                        completed += 1;
-                        let out = JobOutcome {
-                            job: slot.job.id,
-                            arrival: slot.job.arrival,
-                            weight: slot.job.weight,
-                            start_round: slot.started.expect("job admitted"), // lint: allow(panicking) invariant: start_round is recorded at admission, before execution
-                            completion_round: round,
-                            completion: speed.round_end(round),
-                            flow: speed.flow_time(slot.job.arrival, round),
-                            status: JobStatus::Completed,
-                        };
-                        max_flow = max_flow.max(out.flow);
-                        sink(&out);
-                    }
-                }
-            }
+            let cursor = arena.get_mut(cid);
+            let outcome = cursor
+                .execute_unit_into(&slab.get(sid).job.dag, v, &mut ready_scratch)
+                .expect("current node claimed"); // lint: allow(panicking) invariant: executed nodes were claimed by this cursor
             if config.record_trace {
                 row.push(Action::Work { job: jid, node: v });
             }
+            let StepOutcome::NodeCompleted { job_completed } = outcome else {
+                continue;
+            };
+            workers[p].current = None;
+            if sampler.should_panic(jid, v) {
+                // Injected task panic: the job fails and is abandoned.
+                // Purge its tasks everywhere so no worker touches the dead
+                // job again.
+                stats.injected_panics += 1;
+                fault_events.push(FaultEvent {
+                    round,
+                    worker: Some(p),
+                    job: Some(jid),
+                    kind: FaultKind::TaskPanic,
+                    detail: v as u64,
+                });
+                for w in workers.iter_mut() {
+                    w.deque.retain(|t| t.0 != sid);
+                    w.pending.retain(|t| t.0 != sid);
+                    if w.current.is_some_and(|t| t.0 == sid) {
+                        w.current = None;
+                    }
+                }
+                orphans.retain(|t| t.0 != sid);
+                live_admitted -= 1;
+                retired.push(slab.finish(sid, &mut arena, round, speed, JobStatus::Failed));
+                continue;
+            }
+            // Claim enabled nodes now (they are exclusively ours) but defer
+            // deque publication to the end of the round.
+            for &u in ready_scratch.iter() {
+                cursor.claim(u).expect("newly ready claimable"); // lint: allow(panicking) invariant: nodes entering the ready set are unclaimed
+                workers[p].pending.push((sid, u));
+            }
+            if job_completed {
+                live_admitted -= 1;
+                retired.push(slab.finish(sid, &mut arena, round, speed, JobStatus::Completed));
+            }
         }
 
+        // Flush deferred pushes (bottom of the owner's deque, enable order).
         for w in &mut workers {
             for task in w.pending.drain(..) {
                 w.deque.push_back(task);
@@ -1026,12 +1207,6 @@ pub fn run_worksteal_stream_with_base<S: JobStream>(
         round += 1;
     }
 
-    let retire = RetirementStats {
-        jobs_retired,
-        live_jobs_high_water: slab.high_water,
-        slab_slots: slab.slots.len() as u64,
-        cursor_slots: arena.capacity() as u64,
-    };
     if obs {
         for (p, o) in wobs.iter().enumerate() {
             rec.counter_at("ws.worker.work_steps", p, o.work_steps);
@@ -1048,26 +1223,17 @@ pub fn run_worksteal_stream_with_base<S: JobStream>(
         rec.counter("ws.admissions", stats.admissions);
         rec.counter("ws.idle_steps", stats.idle_steps);
         rec.gauge("ws.total_rounds", (last_busy_round + 1) as f64);
-        rec.counter("ws.stream.jobs_retired", retire.jobs_retired);
-        rec.counter(
-            "ws.stream.live_jobs_high_water",
-            retire.live_jobs_high_water,
-        );
-        rec.counter("ws.stream.slab_slots", retire.slab_slots);
-        rec.counter("ws.stream.cursor_slots", retire.cursor_slots);
-        if let Some(r) = retire.slab_reuse_ratio() {
-            rec.gauge("ws.stream.slab_reuse_ratio", r);
-        }
     }
     let summary = StreamSummary {
         m,
         speed,
         total_rounds: last_busy_round + 1,
-        jobs: completed,
+        jobs: retired.count,
         stats,
         samples,
-        max_flow,
-        retire,
+        max_flow: retired.max_flow,
+        retire: slab.retirement(&arena, retired.count),
+        fault_events,
     };
     Ok((summary, trace))
 }
@@ -1096,9 +1262,9 @@ fn pop_admission_slot(
     }
 }
 
-/// Admit the job in slot `sid` on worker `p`: the slab-indexed mirror of
-/// `worksteal::admit_job`, which additionally records the start round in
-/// the slot (the materialized engine keeps an O(n) `started` vector).
+/// Admit the job in slot `sid` on worker `p` at `round`: create its
+/// cursor, push all source nodes onto the worker's deque and take the last
+/// one as the current task.
 fn admit_slot(
     sid: u32,
     p: usize,
@@ -1125,9 +1291,10 @@ fn admit_slot(
 }
 
 /// Simulate a centralized priority scheduler over a [`JobStream`] —
-/// the streaming counterpart of [`crate::run_priority`], bit-identical on
-/// instance replays, O(active + m) live memory. Outcomes go to `sink` in
-/// completion order; `config.faults` must be empty.
+/// the same schedule as [`crate::run_priority`] on the materialization of
+/// the stream, in O(active + m) live memory. Outcomes go to `sink` in
+/// completion order. The centralized engine models a reliable machine:
+/// `config.faults` is ignored.
 pub fn run_priority_stream<P: JobPriority, S: JobStream>(
     stream: &mut S,
     config: &SimConfig,
@@ -1138,10 +1305,37 @@ pub fn run_priority_stream<P: JobPriority, S: JobStream>(
 }
 
 /// [`run_priority_stream`] with a [`Recorder`] attached: emits the same
-/// `central.*` taxonomy as the materialized engine plus `central.stream.*`
-/// retirement counters (no per-job `central.flow_ticks` samples — sample
-/// from the sink).
+/// `central.*` taxonomy as [`crate::run_priority_observed`] plus
+/// `central.stream.*` retirement counters (no per-job `central.flow_ticks`
+/// samples — sample from the sink).
 pub fn run_priority_stream_observed<P: JobPriority, S: JobStream>(
+    stream: &mut S,
+    config: &SimConfig,
+    policy: &P,
+    sink: &mut dyn FnMut(&JobOutcome),
+    rec: &mut dyn Recorder,
+) -> Result<(StreamSummary, Option<ScheduleTrace>), StreamError> {
+    let out = priority_engine(stream, config, policy, sink, rec)?;
+    if rec.enabled() {
+        out.0.retire.record(rec, "central.stream");
+    }
+    Ok(out)
+}
+
+/// The centralized priority-list engine behind every centralized entry
+/// point. Emits the `central.*` counters and the `central.total_rounds`
+/// gauge every entry point shares; each entry point adds its own.
+///
+/// The engine steps by **event horizons** rather than single rounds: it is
+/// deterministic and the assignment rule depends only on the active set
+/// and the jobs' ready frontiers, so between two consecutive events (a job
+/// arrival or a node completion) every round repeats the same processor
+/// assignment. The engine computes that assignment once, derives the span
+/// `Δ = min(next arrival, earliest node completion)` and consumes all `Δ`
+/// rounds in one bulk update — bit-identical to the round-by-round
+/// reference (`run_priority_reference`), but `O(events)` instead of
+/// `O(rounds)` assignment work.
+pub(crate) fn priority_engine<P: JobPriority, S: JobStream>(
     stream: &mut S,
     config: &SimConfig,
     policy: &P,
@@ -1150,15 +1344,12 @@ pub fn run_priority_stream_observed<P: JobPriority, S: JobStream>(
 ) -> Result<(StreamSummary, Option<ScheduleTrace>), StreamError> {
     let m = config.m;
     let speed = config.speed;
-    if !config.faults.is_empty() {
-        return Err(StreamError::FaultsUnsupported);
-    }
 
     let mut arena = CursorArena::new();
     let mut slab = JobSlab::default();
     // Active jobs as (key, slot id), kept sorted ascending by key; keys
-    // are computed from the slot's `Job` exactly like the materialized
-    // engine's, so the order (and every tie-break) is identical.
+    // are computed from the slot's `Job`, whose id is the job id, so the
+    // order (and every tie-break) is the job order.
     let mut active: Vec<((u64, u64, u32), u32)> = Vec::new();
     let mut claimed: Vec<(u32, JobId, NodeId)> = Vec::new();
     let mut ready_buf: Vec<NodeId> = Vec::new();
@@ -1166,58 +1357,45 @@ pub fn run_priority_stream_observed<P: JobPriority, S: JobStream>(
     let mut stats = EngineStats::default();
     let mut trace = config.record_trace.then(|| ScheduleTrace::new(m, speed));
 
+    // Event-horizon telemetry, kept in locals (not EngineStats, which
+    // goldens bit-compare) and flushed once at the end when observing.
     let obs = rec.enabled();
     let mut horizons: u64 = 0;
     let mut quiescent_jumps: u64 = 0;
 
+    // Every round with an active job executes at least one unit, so this
+    // bound (over the pulled prefix) can only be exceeded by an engine bug.
+    let cap = |p: &Puller<'_, S>| -> Round {
+        speed.first_round_at_or_after(p.last_arrival) + p.total_work + p.produced + 16
+    };
     let mut puller = Puller::new(stream, 0)?;
+    let mut safety_cap = cap(&puller);
+    let mut retired = Retired::new(sink);
     let mut released: u64 = 0;
-    let mut completed: u64 = 0;
     let mut round: Round = 0;
     let mut last_busy_round: Round = 0;
-    let mut max_flow = Rational::ZERO;
-    let mut jobs_retired: u64 = 0;
 
-    let cap = |last_arrival: Ticks, total_work: u64, produced: u64| -> Round {
-        speed.first_round_at_or_after(last_arrival) + total_work + produced + 16
-    };
-    let mut safety_cap: Round = cap(puller.last_arrival, puller.total_work, puller.produced);
-
-    while puller.pending.is_some() || completed < released {
-        assert!(
-            round <= safety_cap,
-            "streaming centralized engine exceeded round cap"
-        );
+    while puller.pending.is_some() || retired.count < released {
+        assert!(round <= safety_cap, "centralized engine exceeded round cap");
 
         // Activate arrivals visible at the start of this round.
-        while let Some((jid, job)) = puller.pending.as_ref() {
-            if !speed.arrived_by_round(job.arrival, round) {
-                break;
-            }
-            let (jid, job) = (*jid, job.clone());
-            let sid = slab.alloc(Slot {
-                job: Job::weighted(jid, job.arrival, job.weight, job.dag),
-                cursor: None,
-                started: None,
-            });
-            {
-                let slot = slab.get_mut(sid);
-                slot.cursor = Some(arena.alloc(&slot.job.dag));
-            }
-            let key = policy.key(&slab.get(sid).job);
+        while let Some((jid, job)) = puller.pop_arrived(speed, round)? {
+            let sid = slab.alloc(jid, job);
+            let slot = slab.get_mut(sid);
+            slot.cursor = Some(arena.alloc(&slot.job.dag));
+            let key = policy.key(&slot.job);
             let pos = active.partition_point(|&(k, _)| k < key);
             active.insert(pos, (key, sid));
             released += 1;
-            puller.advance()?;
-            safety_cap = cap(puller.last_arrival, puller.total_work, puller.produced);
+            safety_cap = cap(&puller);
         }
 
         if active.is_empty() {
-            let (_, job) = puller
-                .pending
-                .as_ref()
+            // Quiescent: fast-forward to the next arrival (run-length
+            // encoded as one idle span when tracing).
+            let target = puller
+                .next_arrival_round(speed)
                 .expect("no active jobs but none left to arrive"); // lint: allow(panicking) invariant: loop condition guarantees a pending arrival when nothing is active
-            let target = speed.first_round_at_or_after(job.arrival);
             debug_assert!(target > round);
             let gap = target - round;
             stats.idle_steps += gap * m as u64;
@@ -1239,82 +1417,69 @@ pub fn run_priority_stream_observed<P: JobPriority, S: JobStream>(
                 break;
             }
             let slot = slab.get(sid);
-            let jid = slot.job.id;
-            let cid = slot.cursor.expect("active job has cursor"); // lint: allow(panicking) invariant: every active job owns an arena cursor until completion
-            let cursor = arena.get_mut(cid);
+            let cursor = arena.get_mut(slab.cursor(sid));
             ready_buf.clear();
             ready_buf.extend_from_slice(cursor.ready_nodes());
+            // Deterministic choice of the "arbitrary set of ready nodes".
             ready_buf.sort_unstable();
             for &v in ready_buf.iter().take(avail) {
                 cursor.claim(v).expect("ready node claimable"); // lint: allow(panicking) invariant: nodes entering the ready set are unclaimed
-                claimed.push((sid, jid, v));
+                claimed.push((sid, slot.job.id, v));
             }
             avail -= ready_buf.len().min(avail);
         }
         debug_assert!(!claimed.is_empty(), "active jobs must yield ready nodes");
 
-        // Event horizon: the assignment repeats until a claimed node
-        // completes or the pending job arrives, whichever is first.
+        // Event horizon: the assignment repeats verbatim until a claimed
+        // node completes or the pending job arrives, whichever is first.
         let mut delta: Round = claimed
             .iter()
             .map(|&(sid, _, v)| {
-                let cid = slab.get(sid).cursor.expect("cursor"); // lint: allow(panicking) invariant: active jobs always own a cursor
                 arena
-                    .get(cid)
+                    .get(slab.cursor(sid))
                     .remaining_work(v)
                     .expect("claimed node in range") // lint: allow(panicking) invariant: claimed nodes index this job DAG
             })
             .min()
             .expect("claimed non-empty"); // lint: allow(panicking) claim set verified non-empty above
-        if let Some((_, job)) = puller.pending.as_ref() {
-            delta = delta.min(speed.first_round_at_or_after(job.arrival) - round);
+        if let Some(next) = puller.next_arrival_round(speed) {
+            // ≥ 1: everything due by `round` was activated above.
+            delta = delta.min(next - round);
         }
         debug_assert!(delta >= 1);
         let last = round + delta - 1;
 
+        // Execution phase: `delta` units on every claimed node. Nodes
+        // whose remaining work equals `delta` complete during the final
+        // round of the span, exactly where the reference engine completes
+        // them; everything else is released for the next assignment.
         for &(sid, _, v) in claimed.iter() {
-            let cid = slab.get(sid).cursor.expect("cursor"); // lint: allow(panicking) invariant: active jobs always own a cursor
-            slab.get_mut(sid).started.get_or_insert(round);
+            let cid = slab.cursor(sid);
+            let slot = slab.get_mut(sid);
+            slot.started.get_or_insert(round);
             ready_scratch.clear();
-            let outcome = {
-                let slot = slab.get(sid);
-                arena
-                    .get_mut(cid)
-                    .execute_units(&slot.job.dag, v, delta, &mut ready_scratch)
-                    .expect("claimed node executes") // lint: allow(panicking) invariant: execute targets were claimed this round
-            };
-            match outcome {
+            let cursor = arena.get_mut(cid);
+            match cursor
+                .execute_units(&slot.job.dag, v, delta, &mut ready_scratch)
+                .expect("claimed node executes") // lint: allow(panicking) invariant: execute targets were claimed this round
+            {
                 StepOutcome::InProgress => {
-                    arena
-                        .get_mut(cid)
-                        .release(v)
-                        .expect("in-progress node releases"); // lint: allow(panicking) invariant: release follows the successful claim above
+                    cursor.release(v).expect("in-progress node releases"); // lint: allow(panicking) invariant: release follows the successful claim above
                 }
-                StepOutcome::NodeCompleted { job_completed } => {
-                    if job_completed {
-                        arena.release(cid);
-                        let pos = active
-                            .iter()
-                            .position(|&(_, s)| s == sid)
-                            .expect("completed job was active"); // lint: allow(panicking) invariant: a completing job sits in the active list exactly once
-                        active.remove(pos);
-                        let slot = slab.retire(sid);
-                        jobs_retired += 1;
-                        completed += 1;
-                        let out = JobOutcome {
-                            job: slot.job.id,
-                            arrival: slot.job.arrival,
-                            weight: slot.job.weight,
-                            start_round: slot.started.expect("job executed"), // lint: allow(panicking) invariant: start_round is recorded before any execution
-                            completion_round: last,
-                            completion: speed.round_end(last),
-                            flow: speed.flow_time(slot.job.arrival, last),
-                            status: JobStatus::Completed,
-                        };
-                        max_flow = max_flow.max(out.flow);
-                        sink(&out);
-                    }
+                StepOutcome::NodeCompleted {
+                    job_completed: true,
+                } => {
+                    // `job_completed` can only fire on the job's last
+                    // claimed node this horizon, so no later `claimed`
+                    // entry touches this slot — safe to recycle now.
+                    let pos = active
+                        .iter()
+                        .position(|&(_, s)| s == sid)
+                        .expect("completed job was active"); // lint: allow(panicking) invariant: a completing job sits in the active list exactly once
+                    active.remove(pos);
+                    retired.push(slab.finish(sid, &mut arena, last, speed, JobStatus::Completed));
                 }
+                StepOutcome::NodeCompleted { .. } => {}
             }
         }
 
@@ -1340,38 +1505,23 @@ pub fn run_priority_stream_observed<P: JobPriority, S: JobStream>(
         round += delta;
     }
 
-    let retire = RetirementStats {
-        jobs_retired,
-        live_jobs_high_water: slab.high_water,
-        slab_slots: slab.slots.len() as u64,
-        cursor_slots: arena.capacity() as u64,
-    };
     if obs {
         rec.counter("central.work_steps", stats.work_steps);
         rec.counter("central.idle_steps", stats.idle_steps);
         rec.counter("central.event_horizons", horizons);
         rec.counter("central.quiescent_jumps", quiescent_jumps);
         rec.gauge("central.total_rounds", (last_busy_round + 1) as f64);
-        rec.counter("central.stream.jobs_retired", retire.jobs_retired);
-        rec.counter(
-            "central.stream.live_jobs_high_water",
-            retire.live_jobs_high_water,
-        );
-        rec.counter("central.stream.slab_slots", retire.slab_slots);
-        rec.counter("central.stream.cursor_slots", retire.cursor_slots);
-        if let Some(r) = retire.slab_reuse_ratio() {
-            rec.gauge("central.stream.slab_reuse_ratio", r);
-        }
     }
     let summary = StreamSummary {
         m,
         speed,
         total_rounds: last_busy_round + 1,
-        jobs: completed,
+        jobs: retired.count,
         stats,
         samples: Vec::new(),
-        max_flow,
-        retire,
+        max_flow: retired.max_flow,
+        retire: slab.retirement(&arena, retired.count),
+        fault_events: Vec::new(),
     };
     Ok((summary, trace))
 }
@@ -1471,23 +1621,52 @@ mod tests {
         assert_eq!(sum.retire.slab_reuse_ratio(), Some(0.75));
     }
 
+    /// The `u32` job-id space fails closed. Seeding the stream near the
+    /// top of the id space (as a resharded producer would) must surface
+    /// `TooManyJobs` with the first id that did not fit, instead of
+    /// silently wrapping — and a stream that stops exactly at `u32::MAX`
+    /// must still run to completion.
     #[test]
-    fn too_many_jobs_is_checked_at_the_boundary() {
-        // Stream 5 jobs with ids starting 3 below u32::MAX: the 4th pull
-        // would need id 2^32 and must fail before any materialization.
-        let inst = inst_seq(&[(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)]);
-        let mut replay = InstanceReplay::new(&inst);
-        let err = run_worksteal_stream_with_base(
-            &mut replay,
-            &SimConfig::new(1),
-            StealPolicy::AdmitFirst,
-            1,
-            &mut |_| {},
-            &mut NullRecorder,
-            u32::MAX as u64 - 2,
-        )
-        .expect_err("id space must overflow");
+    fn job_id_overflow_is_a_checked_error() {
+        let inst = Instance::new(
+            (0..6)
+                .map(|i| Job::new(i, i as u64 * 4, Arc::new(shapes::single_node(3))))
+                .collect(),
+        );
+        let cfg = SimConfig::new(2);
+        let policy = StealPolicy::StealKFirst { k: 2 };
+        let run = |base: u64, ids: &mut Vec<u32>| {
+            run_worksteal_stream_with_base(
+                &mut InstanceReplay::new(&inst),
+                &cfg,
+                policy,
+                7,
+                &mut |o| ids.push(o.job),
+                &mut NullRecorder,
+                base,
+            )
+        };
+
+        // Base chosen so ids MAX-2, MAX-1, MAX fit and the 4th job overflows.
+        let err = run(u32::MAX as u64 - 2, &mut Vec::new()).expect_err("4th id exceeds u32");
         assert_eq!(err, StreamError::TooManyJobs(u32::MAX as u64 + 1));
+
+        // Exactly filling the id space is fine, and the run is the same
+        // schedule as a base-0 run with every outcome id shifted by the base.
+        let top = u32::MAX as u64 - 5;
+        let mut shifted_ids = Vec::new();
+        let (sum_top, _) = run(top, &mut shifted_ids).expect("ids end exactly at u32::MAX");
+        let mut base_ids = Vec::new();
+        let (sum_zero, _) = run(0, &mut base_ids).expect("base 0 streams cleanly");
+        assert_eq!(sum_top.stats, sum_zero.stats);
+        assert_eq!(sum_top.max_flow, sum_zero.max_flow);
+        assert_eq!(sum_top.total_rounds, sum_zero.total_rounds);
+        let unshifted: Vec<u32> = shifted_ids
+            .iter()
+            .map(|id| (*id as u64 - top) as u32)
+            .collect();
+        assert_eq!(unshifted, base_ids);
+        assert_eq!(*shifted_ids.iter().max().unwrap(), u32::MAX);
     }
 
     #[test]
@@ -1515,18 +1694,30 @@ mod tests {
     }
 
     #[test]
-    fn faulty_config_is_rejected() {
-        use crate::fault::FaultPlan;
-        let plan = FaultPlan {
-            panic_ppm: 1,
-            ..Default::default()
-        };
-        let cfg = SimConfig::new(2).with_faults(plan);
-        let inst = inst_seq(&[(0, 1)]);
-        let mut replay = InstanceReplay::new(&inst);
-        let err = run_worksteal_stream(&mut replay, &cfg, StealPolicy::AdmitFirst, 1, &mut |_| {})
-            .expect_err("fault plans unsupported");
-        assert_eq!(err, StreamError::FaultsUnsupported);
+    fn faulted_stream_retires_failed_jobs_through_the_sink() {
+        use crate::fault::{FaultPlan, PPM};
+        // Every task panics: each job fails at its first node completion,
+        // reaches the sink as `Failed`, and fires one TaskPanic event.
+        let cfg = SimConfig::new(2).with_faults(FaultPlan::none().with_panic_ppm(PPM));
+        let inst = inst_seq(&[(0, 3), (1, 3), (50, 2)]);
+        let mut statuses = Vec::new();
+        let (sum, _) = run_worksteal_stream(
+            &mut InstanceReplay::new(&inst),
+            &cfg,
+            StealPolicy::AdmitFirst,
+            1,
+            &mut |o| statuses.push(o.status),
+        )
+        .expect("faulted streams run");
+        assert_eq!(statuses, vec![JobStatus::Failed; 3]);
+        assert_eq!(sum.jobs, 3);
+        assert_eq!(sum.stats.injected_panics, 3);
+        assert_eq!(sum.fault_events.len(), 3);
+        assert!(sum
+            .fault_events
+            .iter()
+            .all(|e| e.kind == FaultKind::TaskPanic));
+        assert_eq!(sum.retire.jobs_retired, 3);
     }
 
     #[test]

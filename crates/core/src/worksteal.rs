@@ -30,15 +30,14 @@
 //! lower-indexed workers in the same round (modelling racy concurrency
 //! deterministically).
 
-use crate::config::{AdmissionOrder, SimConfig, StealAmount, StealCost, VictimStrategy};
-use crate::fault::{FaultEvent, FaultKind, JobStatus, PanicSampler, SlowdownGate, PPM};
-use crate::result::{BacklogSample, EngineStats, JobOutcome, SimResult};
-use crate::trace::{Action, ScheduleTrace};
-use parflow_dag::{CursorArena, CursorId, Instance, Job, JobId, NodeId, StepOutcome};
+use crate::config::{AdmissionOrder, SimConfig, StealAmount, VictimStrategy};
+use crate::result::SimResult;
+use crate::stream::{replay_instance, run_worksteal_stream_with_base};
+use crate::trace::ScheduleTrace;
+use parflow_dag::{Instance, Job, JobId, NodeId};
 use parflow_obs::{NullRecorder, Recorder};
-use parflow_time::Round;
 use rand::rngs::SmallRng;
-use rand::{RngCore, SeedableRng};
+use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -75,17 +74,17 @@ impl StealPolicy {
     }
 }
 
-/// One worker's private state. Shared with the streaming engine
-/// (`crate::stream`), whose tasks carry slab slot ids in place of job ids
-/// — both are `u32`, so the layout is identical.
+/// One worker's private state in the work-stealing engine
+/// (`crate::stream`). Tasks are `(slot, node)` pairs: the job's slab slot
+/// id and the claimed node.
 #[derive(Clone, Debug)]
 pub(crate) struct Worker {
     /// The node currently being executed across rounds, if any.
-    pub(crate) current: Option<(JobId, NodeId)>,
+    pub(crate) current: Option<(u32, NodeId)>,
     /// The deque: back = bottom (owner side), front = top (thief side).
-    pub(crate) deque: VecDeque<(JobId, NodeId)>,
+    pub(crate) deque: VecDeque<(u32, NodeId)>,
     /// Nodes enabled during the current round, flushed to `deque` at round end.
-    pub(crate) pending: Vec<(JobId, NodeId)>,
+    pub(crate) pending: Vec<(u32, NodeId)>,
     /// Consecutive failed steal attempts since the last success/work.
     /// `u64` so quiescent fast-forwards count every skipped round exactly;
     /// the old `u32` silently saturated past ~4.3e9 rounds.
@@ -110,9 +109,9 @@ impl Worker {
 
 /// Per-worker telemetry, maintained only when a [`Recorder`] is enabled
 /// and flushed as `ws.worker.*` counters at the end of the run. Kept out
-/// of [`EngineStats`] (which goldens bit-compare) and out of `Worker`
-/// (which the hot loop touches) so the disabled path stays byte-identical
-/// and allocation-free.
+/// of [`EngineStats`](crate::EngineStats) (which goldens bit-compare) and
+/// out of `Worker` (which the hot loop touches) so the disabled path stays
+/// byte-identical and allocation-free.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct WorkerObs {
     /// Work units executed by this worker.
@@ -328,37 +327,15 @@ pub(crate) fn pop_admission(
     }
 }
 
-/// Admit job `jid` on worker `p`: create its cursor, push all source nodes
-/// onto the worker's deque and take the last one as the current task.
-/// `sources` is a caller-owned scratch buffer (hoisted out of the hot loop).
-fn admit_job(
-    jid: JobId,
-    p: usize,
-    jobs: &[Job],
-    workers: &mut [Worker],
-    arena: &mut CursorArena,
-    cursor_ids: &mut [Option<CursorId>],
-    sources: &mut Vec<NodeId>,
-) {
-    let job = &jobs[jid as usize];
-    let id = arena.alloc(&job.dag);
-    cursor_ids[jid as usize] = Some(id);
-    let cur = arena.get_mut(id);
-    sources.clear();
-    sources.extend_from_slice(cur.ready_nodes());
-    for &s in sources.iter() {
-        cur.claim(s).expect("source ready"); // lint: allow(panicking) invariant: freshly materialized source nodes are unclaimed
-        workers[p].deque.push_back((jid, s));
-    }
-    let task = workers[p].deque.pop_back().expect("pushed sources"); // lint: allow(panicking) a source task was pushed just above; the deque is non-empty
-    workers[p].current = Some(task);
-    workers[p].failed_steals = 0;
-}
-
 /// Simulate work stealing with the given `policy` on `instance`.
 ///
 /// `seed` drives victim selection; runs are bit-reproducible for a given
 /// `(instance, config, policy, seed)`.
+///
+/// # Panics
+///
+/// If `config.faults` is invalid for `config.m` (see
+/// [`crate::FaultPlan::validate`]).
 pub fn run_worksteal(
     instance: &Instance,
     config: &SimConfig,
@@ -374,8 +351,11 @@ pub fn run_worksteal(
 /// With it enabled, per-worker `ws.worker.*` counters (work steps, steal
 /// attempts/successes, failed-steal rounds, admissions, idle rounds, max
 /// failed-steal streak), engine-level `ws.*` counters mirroring
-/// [`EngineStats`], a `ws.total_rounds` gauge and per-job `ws.flow_ticks`
-/// samples are emitted at the end of the run.
+/// [`EngineStats`](crate::EngineStats), a `ws.total_rounds` gauge and
+/// per-job `ws.flow_ticks` samples are emitted at the end of the run.
+///
+/// A thin driver: the instance is replayed through the streaming engine
+/// core ([`crate::run_worksteal_stream`]), outcomes filed by job id.
 pub fn run_worksteal_observed(
     instance: &Instance,
     config: &SimConfig,
@@ -383,871 +363,19 @@ pub fn run_worksteal_observed(
     seed: u64,
     rec: &mut dyn Recorder,
 ) -> (SimResult, Option<ScheduleTrace>) {
-    let jobs = instance.jobs();
-    let n = jobs.len();
-    let m = config.m;
-    let speed = config.speed;
-    let k = policy.k();
-    let faults = &config.faults;
-    if let Err(e) = faults.validate(m) {
-        panic!("invalid fault plan: {e}"); // lint: allow(panicking) documented contract: simulator entry points panic on invalid fault plans, validated before any stepping
-    }
-    let mut rng = SmallRng::seed_from_u64(seed);
-
-    let mut workers: Vec<Worker> = (0..m).map(Worker::new).collect();
-    // Cursor state lives in a recycled arena (slot allocated at admission,
-    // released at completion/failure): slot count and buffer capacity are
-    // bounded by peak live jobs, so steady state allocates nothing per job.
-    let mut arena = CursorArena::new();
-    let mut cursor_ids: Vec<Option<CursorId>> = vec![None; n];
-    let mut outcomes: Vec<Option<JobOutcome>> = vec![None; n];
-    let mut started: Vec<Option<Round>> = vec![None; n];
-    let mut global_queue: VecDeque<JobId> = VecDeque::new();
-    let mut stats = EngineStats::default();
-    let mut trace = config.record_trace.then(|| ScheduleTrace::new(m, speed));
-    let mut samples: Vec<BacklogSample> = Vec::new();
-
-    // Hoisted once: with the NullRecorder every `if obs` below is a dead
-    // branch and `wobs` stays empty (no allocation).
-    let obs = rec.enabled();
-    let mut wobs: Vec<WorkerObs> = if obs {
-        vec![WorkerObs::default(); m]
-    } else {
-        Vec::new()
-    };
-
-    // Fault machinery. Orphaned tasks from crashed workers go into a
-    // global FIFO of their own: claimed-node state lives in the job's
-    // cursor, so an adopting worker resumes exactly where the dead one
-    // stopped without re-racing for the nodes.
-    let mut fault_events: Vec<FaultEvent> = Vec::new();
-    let mut orphans: VecDeque<(JobId, NodeId)> = VecDeque::new();
-    let mut alive: Vec<bool> = vec![true; m];
-    let mut alive_count = m;
-    let mut was_stalled: Vec<bool> = vec![false; m];
-    let mut gates: Vec<SlowdownGate> = (0..m)
-        .map(|p| SlowdownGate::new(faults.rate_ppm_of(p)))
-        .collect();
-    let blackholed: Vec<bool> = (0..m).map(|p| faults.is_blackhole(p)).collect();
-    let sampler = PanicSampler::new(seed, faults.panic_ppm);
-
-    let mut next_arrival = 0usize;
-    // Jobs that reached a terminal state (completed or failed).
-    let mut completed = 0usize;
-    // Jobs admitted but not yet terminal.
-    let mut live_admitted = 0usize;
-    let mut round: Round = 0;
-    let mut last_busy_round: Round = 0;
-
-    // Rounds with admitted live work always execute ≥ 1 unit; rounds with
-    // only queued jobs admit within ≤ k+1 rounds; quiescent gaps are
-    // skipped. Anything past this cap is an engine bug.
-    let mut safety_cap: Round = speed.first_round_at_or_after(instance.last_arrival())
-        + instance.total_work()
-        + (k as Round + 2) * (n as Round + m as Round)
-        + 64;
-    if !faults.is_empty() {
-        // Stalls add dead rounds, slowdowns stretch execution by up to
-        // PPM/best_rate, and fault boundaries bound fast-forward clamping.
-        let stall_total: Round = faults.stalls.iter().map(|s| s.duration).sum();
-        let best_rate = (0..m)
-            .filter(|&p| faults.crash_round_of(p).is_none())
-            .map(|p| faults.rate_ppm_of(p))
-            .max()
-            .unwrap_or(PPM)
-            .max(1);
-        safety_cap = safety_cap * (PPM as Round).div_ceil(best_rate as Round)
-            + faults.last_scheduled_round().unwrap_or(0)
-            + stall_total
-            + 64;
-    }
-
-    // Rounds at which the plan changes some worker's behaviour, sorted
-    // once up front; quiescent fast-forwards must not skip them. The
-    // lookup is a binary search instead of a per-gap rescan of the plan.
-    let fault_boundaries: Vec<Round> = {
-        let mut b: Vec<Round> = faults
-            .crashes
-            .iter()
-            .map(|c| c.at_round)
-            .chain(
-                faults
-                    .stalls
-                    .iter()
-                    .flat_map(|s| [s.from_round, s.from_round.saturating_add(s.duration)]),
-            )
-            .collect();
-        b.sort_unstable();
-        b.dedup();
-        b
-    };
-    let next_fault_boundary = |round: Round| -> Option<Round> {
-        let i = fault_boundaries.partition_point(|&b| b <= round);
-        fault_boundaries.get(i).copied()
-    };
-    let has_stalls = !faults.stalls.is_empty();
-    let mut crash_pending = (0..m).any(|p| faults.crash_round_of(p).is_some());
-    // The event-window fast path below bulk-steps uneventful round spans.
-    // It preserves the RNG stream bit-for-bit but compresses bookkeeping,
-    // so it is only taken when no fault can fire (empty plan ⇒ no crashes,
-    // stalls, slowdowns, blackholes or panics) and no trace row is needed.
-    let fast_ok = faults.is_empty() && !config.record_trace;
-
-    // Scratch buffers hoisted out of the hot loop.
-    let mut ready_scratch: Vec<NodeId> = Vec::new();
-    let mut sources_scratch: Vec<NodeId> = Vec::new();
-
-    'rounds: while completed < n {
-        assert!(
-            round <= safety_cap,
-            "work-stealing engine exceeded round cap"
-        );
-
-        // Crash pre-pass: workers whose crash round has come die at the
-        // start of the round; their current task and deque are reinjected
-        // into the global orphan FIFO for survivors to adopt. Skipped
-        // entirely once every scheduled crash has fired.
-        if crash_pending {
-            for p in 0..m {
-                if alive[p] && faults.crash_round_of(p).is_some_and(|cr| cr <= round) {
-                    alive[p] = false;
-                    alive_count -= 1;
-                    stats.crashed_workers += 1;
-                    fault_events.push(FaultEvent {
-                        round,
-                        worker: Some(p),
-                        job: None,
-                        kind: FaultKind::Crash,
-                        detail: 0,
-                    });
-                    let mut reinjected = 0u64;
-                    if let Some(task) = workers[p].current.take() {
-                        orphans.push_back(task);
-                        reinjected += 1;
-                    }
-                    while let Some(task) = workers[p].deque.pop_front() {
-                        orphans.push_back(task);
-                        reinjected += 1;
-                    }
-                    for task in workers[p].pending.drain(..) {
-                        orphans.push_back(task);
-                        reinjected += 1;
-                    }
-                    if reinjected > 0 {
-                        stats.reinjected_tasks += reinjected;
-                        fault_events.push(FaultEvent {
-                            round,
-                            worker: Some(p),
-                            job: None,
-                            kind: FaultKind::OrphanReinjection,
-                            detail: reinjected,
-                        });
-                    }
-                }
-            }
-            crash_pending = (0..m).any(|q| alive[q] && faults.crash_round_of(q).is_some());
-        }
-
-        // Release arrivals into the global FIFO queue.
-        while next_arrival < n && speed.arrived_by_round(jobs[next_arrival].arrival, round) {
-            global_queue.push_back(jobs[next_arrival].id);
-            next_arrival += 1;
-        }
-
-        if config.sample_every > 0 && round.is_multiple_of(config.sample_every) {
-            samples.push(BacklogSample {
-                round,
-                queued: global_queue.len(),
-                live: live_admitted,
-                deque_tasks: workers.iter().map(|w| w.deque.len()).sum::<usize>() + orphans.len(),
-            });
-        }
-
-        // Quiescent fast-forward: nothing admitted is live and nothing is
-        // queued — skip to the next arrival. The skipped rounds would be
-        // failed steal attempts; count every one of them (the counter is
-        // `u64`, so no clamping — the old `u32` version saturated here).
-        // Fault boundaries clamp the jump so crash/stall transitions still
-        // fire at their scheduled rounds.
-        if live_admitted == 0 && global_queue.is_empty() && orphans.is_empty() {
-            debug_assert!(next_arrival < n, "deadlock: nothing live, nothing queued");
-            let mut target = speed.first_round_at_or_after(jobs[next_arrival].arrival);
-            if let Some(boundary) = next_fault_boundary(round) {
-                target = target.min(boundary);
-            }
-            debug_assert!(target > round, "fast-forward must move time forward");
-            let gap = target - round;
-            stats.idle_steps += gap * alive_count as u64;
-            for (p, w) in workers.iter_mut().enumerate() {
-                if alive[p] {
-                    w.failed_steals = w.failed_steals.saturating_add(gap);
-                    if obs {
-                        let o = &mut wobs[p];
-                        o.failed_steal_rounds += gap;
-                        o.idle_steps += gap;
-                        o.max_failed_streak = o.max_failed_streak.max(w.failed_steals);
-                    }
-                }
-            }
-            // Backlog samples falling inside the skipped span are still
-            // emitted (the backlog is empty by construction — nothing is
-            // live, queued or orphaned during a quiescent gap), so sampled
-            // series stay evenly spaced across gaps.
-            if config.sample_every > 0 {
-                let se = config.sample_every;
-                let mut s = (round / se + 1) * se;
-                while s < target {
-                    samples.push(BacklogSample {
-                        round: s,
-                        queued: 0,
-                        live: 0,
-                        deque_tasks: 0,
-                    });
-                    s += se;
-                }
-            }
-            if let Some(t) = trace.as_mut() {
-                t.push_idle_rounds(gap);
-            }
-            round = target;
-            continue;
-        }
-
-        // Event-window fast path: between events the round-by-round
-        // behaviour is forced. If every worker is busy (nobody pops, admits
-        // or steals), or the idle workers provably cannot acquire anything
-        // (global queue, orphan FIFO and every deque empty — so every steal
-        // attempt fails), then until the next node completion or arrival
-        // each round repeats the same pattern. Consume the whole span at
-        // once: busy workers bulk-execute their current node, idle workers'
-        // failed steal attempts are replayed onto the RNG stream without
-        // computing victims. Completions land in the last round of the
-        // span, exactly where the per-round loop would put them.
-        'window: {
-            if !fast_ok {
-                break 'window;
-            }
-            // Cheapest cap first: if the next arrival lands next round the
-            // span can only be 1 round — skip the worker scan entirely.
-            let arrival_cap = if next_arrival < n {
-                speed.first_round_at_or_after(jobs[next_arrival].arrival) - round
-            } else {
-                u64::MAX
-            };
-            if arrival_cap < 2 {
-                break 'window;
-            }
-            let mut min_rem = u64::MAX;
-            let mut busy = 0usize;
-            let mut deques_empty = true;
-            for w in &workers {
-                if let Some((jid, v)) = w.current {
-                    let rem = arena
-                        .get(cursor_ids[jid as usize].expect("admitted job")) // lint: allow(panicking) invariant: every admitted job owns an arena cursor until completion
-                        .remaining_work(v)
-                        .expect("current node in range"); // lint: allow(panicking) invariant: cursors only hold nodes of their own DAG
-                    if rem < 2 {
-                        // The span is capped at 1 round — the per-round
-                        // loop handles that more cheaply than span setup.
-                        break 'window;
-                    }
-                    if rem < min_rem {
-                        min_rem = rem;
-                    }
-                    busy += 1;
-                }
-                if !w.deque.is_empty() {
-                    deques_empty = false;
-                }
-            }
-            let eligible = busy > 0 && (busy == m || (global_queue.is_empty() && deques_empty));
-            if eligible {
-                // ≥ 2 by construction: every remaining-work and the arrival
-                // cap were pre-checked, so the span always beats per-round.
-                let delta = min_rem.min(arrival_cap);
-                {
-                    let last = round + delta - 1;
-                    // Backlog state is constant at the top of every round
-                    // in the span (completions only land *during* the last
-                    // one), so interior samples all read the same values.
-                    if config.sample_every > 0 {
-                        let se = config.sample_every;
-                        let queued = global_queue.len();
-                        let deque_tasks =
-                            workers.iter().map(|w| w.deque.len()).sum::<usize>() + orphans.len();
-                        let mut s = (round / se + 1) * se;
-                        while s <= last {
-                            samples.push(BacklogSample {
-                                round: s,
-                                queued,
-                                live: live_admitted,
-                                deque_tasks,
-                            });
-                            s += se;
-                        }
-                    }
-                    if busy < m {
-                        debug_assert!(global_queue.is_empty() && deques_empty);
-                        debug_assert!(orphans.is_empty(), "no orphans without crashes");
-                        let per_round: u64 = match config.steal_cost {
-                            StealCost::UnitStep => 1,
-                            StealCost::Free => {
-                                if k == 0 {
-                                    2 * m as u64
-                                } else {
-                                    k as u64
-                                }
-                            }
-                        };
-                        let idle = (m - busy) as u64;
-                        stats.steal_attempts += delta * per_round * idle;
-                        if obs {
-                            for (p, w) in workers.iter().enumerate() {
-                                if w.current.is_none() {
-                                    wobs[p].steal_attempts += delta * per_round;
-                                }
-                            }
-                        }
-                        match config.victim {
-                            VictimStrategy::Uniform => {
-                                burn_uniform_draws(&mut rng, m, delta * per_round * idle);
-                            }
-                            VictimStrategy::RoundRobinScan => {
-                                for (p, w) in workers.iter_mut().enumerate() {
-                                    if w.current.is_none() {
-                                        w.scan_next =
-                                            advance_scan(w.scan_next, p, m, delta * per_round);
-                                    }
-                                }
-                            }
-                        }
-                        match config.steal_cost {
-                            StealCost::UnitStep => {
-                                // A failed unit-cost steal consumes the
-                                // round and bumps the failure counter.
-                                for (p, w) in workers.iter_mut().enumerate() {
-                                    if w.current.is_none() {
-                                        w.failed_steals = w.failed_steals.saturating_add(delta);
-                                        if obs {
-                                            let o = &mut wobs[p];
-                                            o.failed_steal_rounds += delta;
-                                            o.max_failed_streak =
-                                                o.max_failed_streak.max(w.failed_steals);
-                                        }
-                                    }
-                                }
-                            }
-                            StealCost::Free => {
-                                // Free attempts cost nothing; the round
-                                // itself is recorded as idle.
-                                stats.idle_steps += delta * idle;
-                                if obs {
-                                    for (p, w) in workers.iter().enumerate() {
-                                        if w.current.is_none() {
-                                            wobs[p].idle_steps += delta;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    for (p, w) in workers.iter_mut().enumerate() {
-                        let Some((jid, v)) = w.current else {
-                            continue;
-                        };
-                        let job = &jobs[jid as usize];
-                        let cid = cursor_ids[jid as usize].expect("admitted job"); // lint: allow(panicking) invariant: every admitted job owns an arena cursor until completion
-                        let cursor = arena.get_mut(cid);
-                        stats.work_steps += delta;
-                        if obs {
-                            wobs[p].work_steps += delta;
-                        }
-                        w.failed_steals = 0;
-                        ready_scratch.clear();
-                        match cursor
-                            .execute_units(&job.dag, v, delta, &mut ready_scratch)
-                            .expect("current node claimed") // lint: allow(panicking) invariant: executed nodes were claimed by this cursor
-                        {
-                            StepOutcome::InProgress => {}
-                            StepOutcome::NodeCompleted { job_completed } => {
-                                w.current = None;
-                                debug_assert!(
-                                    !sampler.should_panic(jid, v),
-                                    "no injected panics under an empty fault plan"
-                                );
-                                for &u in ready_scratch.iter() {
-                                    cursor.claim(u).expect("newly ready claimable"); // lint: allow(panicking) invariant: nodes entering the ready set are unclaimed
-                                    w.pending.push((jid, u));
-                                }
-                                if job_completed {
-                                    // Last live node of the job: no other
-                                    // worker's `current` can reference this
-                                    // slot, safe to recycle.
-                                    arena.release(
-                                        cursor_ids[jid as usize].take().expect("cursor id"), // lint: allow(panicking) invariant: completion releases exactly the cursor admission installed
-                                    );
-                                    live_admitted -= 1;
-                                    completed += 1;
-                                    outcomes[jid as usize] = Some(JobOutcome {
-                                        job: jid,
-                                        arrival: job.arrival,
-                                        weight: job.weight,
-                                        start_round: started[jid as usize].expect("job admitted"), // lint: allow(panicking) invariant: start_round is recorded at admission, before execution
-                                        completion_round: last,
-                                        completion: speed.round_end(last),
-                                        flow: speed.flow_time(job.arrival, last),
-                                        status: JobStatus::Completed,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    for w in &mut workers {
-                        for task in w.pending.drain(..) {
-                            w.deque.push_back(task);
-                        }
-                    }
-                    last_busy_round = last;
-                    round += delta;
-                    continue 'rounds;
-                }
-            }
-        }
-
-        let mut row: Vec<Action> = if config.record_trace {
-            Vec::with_capacity(m)
-        } else {
-            Vec::new()
-        };
-        // All-deques-empty knowledge, shared across this round's steal
-        // sites: `Some(false)` ⇒ every attempt fails (burn it), computed at
-        // most once per round and invalidated by any deque push.
-        let mut stealable_cache: Option<bool> = None;
-
-        for p in 0..m {
-            // 0. Fault gates: dead workers do nothing; stalled workers
-            // freeze (their deques stay stealable); slowed workers only
-            // act in the rounds their credit gate opens.
-            if !alive[p] {
-                if config.record_trace {
-                    row.push(Action::Idle);
-                }
-                continue;
-            }
-            if has_stalls {
-                let stalled = faults.is_stalled(p, round);
-                if stalled != was_stalled[p] {
-                    was_stalled[p] = stalled;
-                    fault_events.push(FaultEvent {
-                        round,
-                        worker: Some(p),
-                        job: None,
-                        kind: if stalled {
-                            FaultKind::StallBegin
-                        } else {
-                            FaultKind::StallEnd
-                        },
-                        detail: 0,
-                    });
-                }
-                if stalled {
-                    stats.faulted_steps += 1;
-                    if config.record_trace {
-                        row.push(Action::Idle);
-                    }
-                    continue;
-                }
-            }
-            if !gates[p].is_full_speed() && !gates[p].tick() {
-                stats.faulted_steps += 1;
-                if config.record_trace {
-                    row.push(Action::Idle);
-                }
-                continue;
-            }
-
-            // 1. Acquire work if idle: own deque → orphan FIFO →
-            //    (policy) admit/steal. Adopting an orphaned task is free,
-            //    like popping the own deque: the task was already claimed
-            //    by the crashed worker, no coordination is needed.
-            if workers[p].current.is_none() {
-                if let Some(task) = workers[p].deque.pop_back() {
-                    workers[p].current = Some(task);
-                }
-            }
-            if workers[p].current.is_none() {
-                if let Some(task) = orphans.pop_front() {
-                    workers[p].current = Some(task);
-                    workers[p].failed_steals = 0;
-                }
-            }
-            if workers[p].current.is_none() {
-                match config.steal_cost {
-                    StealCost::UnitStep => {
-                        let admit_now = match policy {
-                            StealPolicy::AdmitFirst => !global_queue.is_empty(),
-                            StealPolicy::StealKFirst { k } => {
-                                workers[p].failed_steals >= k as u64 && !global_queue.is_empty()
-                            }
-                        };
-                        if admit_now {
-                            let jid = pop_admission(&mut global_queue, jobs, config.admission)
-                                .expect("queue non-empty"); // lint: allow(panicking) emptiness checked immediately above
-                            admit_job(
-                                jid,
-                                p,
-                                jobs,
-                                &mut workers,
-                                &mut arena,
-                                &mut cursor_ids,
-                                &mut sources_scratch,
-                            );
-                            started[jid as usize] = Some(round);
-                            live_admitted += 1;
-                            stats.admissions += 1;
-                            if obs {
-                                wobs[p].admissions += 1;
-                            }
-                            stealable_cache = None;
-                        } else {
-                            // Steal attempt: one full round; the stolen node
-                            // (if any) starts executing next round.
-                            stats.steal_attempts += 1;
-                            if obs {
-                                wobs[p].steal_attempts += 1;
-                            }
-                            let stealable = match stealable_cache {
-                                Some(v) => v,
-                                None => {
-                                    let v = any_stealable(&workers, &blackholed);
-                                    stealable_cache = Some(v);
-                                    v
-                                }
-                            };
-                            let hit = if stealable {
-                                steal_into(
-                                    p,
-                                    &mut workers,
-                                    &mut rng,
-                                    config.victim,
-                                    config.steal_amount,
-                                    &blackholed,
-                                )
-                            } else {
-                                burn_failed_attempts(&mut rng, &mut workers, p, config.victim, 1);
-                                false
-                            };
-                            if hit {
-                                stats.successful_steals += 1;
-                                workers[p].failed_steals = 0;
-                                if obs {
-                                    wobs[p].successful_steals += 1;
-                                }
-                                stealable_cache = None;
-                            } else {
-                                workers[p].failed_steals =
-                                    workers[p].failed_steals.saturating_add(1);
-                                if obs {
-                                    let o = &mut wobs[p];
-                                    o.failed_steal_rounds += 1;
-                                    o.max_failed_streak =
-                                        o.max_failed_streak.max(workers[p].failed_steals);
-                                }
-                            }
-                            if config.record_trace {
-                                row.push(Action::Steal { hit });
-                            }
-                            continue;
-                        }
-                    }
-                    StealCost::Free => {
-                        // Instantaneous acquisition: steal attempts cost
-                        // nothing; only executing work (or finding none)
-                        // consumes the round. `k = 0` is admit-first.
-                        if k == 0 {
-                            if let Some(jid) =
-                                pop_admission(&mut global_queue, jobs, config.admission)
-                            {
-                                admit_job(
-                                    jid,
-                                    p,
-                                    jobs,
-                                    &mut workers,
-                                    &mut arena,
-                                    &mut cursor_ids,
-                                    &mut sources_scratch,
-                                );
-                                started[jid as usize] = Some(round);
-                                live_admitted += 1;
-                                stats.admissions += 1;
-                                if obs {
-                                    wobs[p].admissions += 1;
-                                }
-                                stealable_cache = None;
-                            } else {
-                                // Scan for stealable work.
-                                let attempts = 2 * m.max(1) as u32; // lint: allow(truncating-cast) m is the processor count; a 2^32-processor instance is unrepresentable
-                                let stealable = match stealable_cache {
-                                    Some(v) => v,
-                                    None => {
-                                        let v = any_stealable(&workers, &blackholed);
-                                        stealable_cache = Some(v);
-                                        v
-                                    }
-                                };
-                                if stealable {
-                                    for _ in 0..attempts {
-                                        stats.steal_attempts += 1;
-                                        if obs {
-                                            wobs[p].steal_attempts += 1;
-                                        }
-                                        if steal_into(
-                                            p,
-                                            &mut workers,
-                                            &mut rng,
-                                            config.victim,
-                                            config.steal_amount,
-                                            &blackholed,
-                                        ) {
-                                            stats.successful_steals += 1;
-                                            if obs {
-                                                wobs[p].successful_steals += 1;
-                                            }
-                                            stealable_cache = None;
-                                            break;
-                                        }
-                                    }
-                                } else {
-                                    stats.steal_attempts += attempts as u64;
-                                    if obs {
-                                        wobs[p].steal_attempts += attempts as u64;
-                                    }
-                                    burn_failed_attempts(
-                                        &mut rng,
-                                        &mut workers,
-                                        p,
-                                        config.victim,
-                                        attempts as u64,
-                                    );
-                                }
-                            }
-                        } else {
-                            let stealable = match stealable_cache {
-                                Some(v) => v,
-                                None => {
-                                    let v = any_stealable(&workers, &blackholed);
-                                    stealable_cache = Some(v);
-                                    v
-                                }
-                            };
-                            if stealable {
-                                for _ in 0..k {
-                                    stats.steal_attempts += 1;
-                                    if obs {
-                                        wobs[p].steal_attempts += 1;
-                                    }
-                                    if steal_into(
-                                        p,
-                                        &mut workers,
-                                        &mut rng,
-                                        config.victim,
-                                        config.steal_amount,
-                                        &blackholed,
-                                    ) {
-                                        stats.successful_steals += 1;
-                                        if obs {
-                                            wobs[p].successful_steals += 1;
-                                        }
-                                        stealable_cache = None;
-                                        break;
-                                    }
-                                }
-                            } else {
-                                stats.steal_attempts += k as u64;
-                                if obs {
-                                    wobs[p].steal_attempts += k as u64;
-                                }
-                                burn_failed_attempts(
-                                    &mut rng,
-                                    &mut workers,
-                                    p,
-                                    config.victim,
-                                    k as u64,
-                                );
-                            }
-                            if workers[p].current.is_none() {
-                                if let Some(jid) =
-                                    pop_admission(&mut global_queue, jobs, config.admission)
-                                {
-                                    admit_job(
-                                        jid,
-                                        p,
-                                        jobs,
-                                        &mut workers,
-                                        &mut arena,
-                                        &mut cursor_ids,
-                                        &mut sources_scratch,
-                                    );
-                                    started[jid as usize] = Some(round);
-                                    live_admitted += 1;
-                                    stats.admissions += 1;
-                                    if obs {
-                                        wobs[p].admissions += 1;
-                                    }
-                                    stealable_cache = None;
-                                }
-                            }
-                        }
-                        if workers[p].current.is_none() {
-                            stats.idle_steps += 1;
-                            if obs {
-                                wobs[p].idle_steps += 1;
-                            }
-                            if config.record_trace {
-                                row.push(Action::Idle);
-                            }
-                            continue;
-                        }
-                    }
-                }
-            }
-
-            // 2. Execute one unit of the current node.
-            let (jid, v) = workers[p].current.expect("acquired work above"); // lint: allow(panicking) set on the acquisition path immediately above
-            let job = &jobs[jid as usize];
-            let cid = cursor_ids[jid as usize].expect("admitted job"); // lint: allow(panicking) invariant: every admitted job owns an arena cursor until completion
-            let cursor = arena.get_mut(cid);
-            stats.work_steps += 1;
-            if obs {
-                wobs[p].work_steps += 1;
-            }
-            workers[p].failed_steals = 0;
-            ready_scratch.clear();
-            match cursor
-                .execute_unit_into(&job.dag, v, &mut ready_scratch)
-                .expect("current node claimed") // lint: allow(panicking) invariant: executed nodes were claimed by this cursor
-            {
-                StepOutcome::InProgress => {}
-                StepOutcome::NodeCompleted { job_completed } => {
-                    workers[p].current = None;
-                    if sampler.should_panic(jid, v) {
-                        // Injected task panic: the job fails and is
-                        // abandoned. Purge its tasks everywhere so no
-                        // worker touches the dead job again.
-                        stats.injected_panics += 1;
-                        fault_events.push(FaultEvent {
-                            round,
-                            worker: Some(p),
-                            job: Some(jid),
-                            kind: FaultKind::TaskPanic,
-                            detail: v as u64,
-                        });
-                        for w in workers.iter_mut() {
-                            w.deque.retain(|t| t.0 != jid);
-                            w.pending.retain(|t| t.0 != jid);
-                            if w.current.is_some_and(|t| t.0 == jid) {
-                                w.current = None;
-                            }
-                        }
-                        orphans.retain(|t| t.0 != jid);
-                        arena.release(cursor_ids[jid as usize].take().expect("cursor id")); // lint: allow(panicking) invariant: completion releases exactly the cursor admission installed
-                        live_admitted -= 1;
-                        completed += 1;
-                        outcomes[jid as usize] = Some(JobOutcome {
-                            job: jid,
-                            arrival: job.arrival,
-                            weight: job.weight,
-                            start_round: started[jid as usize].expect("job admitted"), // lint: allow(panicking) invariant: start_round is recorded at admission, before execution
-                            completion_round: round,
-                            completion: speed.round_end(round),
-                            flow: speed.flow_time(job.arrival, round),
-                            status: JobStatus::Failed,
-                        });
-                        if config.record_trace {
-                            row.push(Action::Work { job: jid, node: v });
-                        }
-                        continue;
-                    }
-                    // Claim enabled nodes now (they are exclusively ours)
-                    // but defer deque publication to the end of the round.
-                    let cursor = arena.get_mut(cid);
-                    for &u in ready_scratch.iter() {
-                        cursor.claim(u).expect("newly ready claimable"); // lint: allow(panicking) invariant: nodes entering the ready set are unclaimed
-                        workers[p].pending.push((jid, u));
-                    }
-                    if job_completed {
-                        arena.release(cursor_ids[jid as usize].take().expect("cursor id")); // lint: allow(panicking) invariant: completion releases exactly the cursor admission installed
-                        live_admitted -= 1;
-                        completed += 1;
-                        outcomes[jid as usize] = Some(JobOutcome {
-                            job: jid,
-                            arrival: job.arrival,
-                            weight: job.weight,
-                            start_round: started[jid as usize].expect("job admitted"), // lint: allow(panicking) invariant: start_round is recorded at admission, before execution
-                            completion_round: round,
-                            completion: speed.round_end(round),
-                            flow: speed.flow_time(job.arrival, round),
-                            status: JobStatus::Completed,
-                        });
-                    }
-                }
-            }
-            if config.record_trace {
-                row.push(Action::Work { job: jid, node: v });
-            }
-        }
-
-        // Flush deferred pushes (bottom of the owner's deque, enable order).
-        for w in &mut workers {
-            for task in w.pending.drain(..) {
-                w.deque.push_back(task);
-            }
-        }
-
-        last_busy_round = round;
-        if let Some(t) = trace.as_mut() {
-            t.push_row(row);
-        }
-        round += 1;
-    }
-
-    let outcomes: Vec<JobOutcome> = outcomes
-        .into_iter()
-        .map(|o| o.expect("all jobs completed")) // lint: allow(panicking) invariant: the engine loop exits only after every job completes
-        .collect();
-    if obs {
-        for (p, o) in wobs.iter().enumerate() {
-            rec.counter_at("ws.worker.work_steps", p, o.work_steps);
-            rec.counter_at("ws.worker.steal_attempts", p, o.steal_attempts);
-            rec.counter_at("ws.worker.successful_steals", p, o.successful_steals);
-            rec.counter_at("ws.worker.failed_steal_rounds", p, o.failed_steal_rounds);
-            rec.counter_at("ws.worker.admissions", p, o.admissions);
-            rec.counter_at("ws.worker.idle_steps", p, o.idle_steps);
-            rec.counter_at("ws.worker.max_failed_streak", p, o.max_failed_streak);
-        }
-        rec.counter("ws.work_steps", stats.work_steps);
-        rec.counter("ws.steal_attempts", stats.steal_attempts);
-        rec.counter("ws.successful_steals", stats.successful_steals);
-        rec.counter("ws.admissions", stats.admissions);
-        rec.counter("ws.idle_steps", stats.idle_steps);
+    let (result, trace) = replay_instance(instance, |replay, sink| {
+        run_worksteal_stream_with_base(replay, config, policy, seed, sink, rec, 0)
+    });
+    if rec.enabled() {
+        let stats = &result.stats;
         rec.counter("ws.faulted_steps", stats.faulted_steps);
         rec.counter("ws.crashed_workers", stats.crashed_workers);
         rec.counter("ws.reinjected_tasks", stats.reinjected_tasks);
         rec.counter("ws.injected_panics", stats.injected_panics);
-        rec.gauge("ws.total_rounds", (last_busy_round + 1) as f64);
-        for o in &outcomes {
+        for o in &result.outcomes {
             rec.sample("ws.flow_ticks", o.flow.to_f64());
         }
     }
-    let result = SimResult {
-        m,
-        speed,
-        total_rounds: last_busy_round + 1,
-        outcomes,
-        stats,
-        samples,
-        fault_events,
-    };
     (result, trace)
 }
 

@@ -18,7 +18,8 @@
 //! rounds, `F` speed factor in `(0,1]`, `P` probability in `[0,1]`).
 //! Faults apply to the work-stealing schedulers and the real executor;
 //! the centralized engines (fifo/bwf/lifo/sjf/equi) model an idealized
-//! reliable machine and ignore the plan. `exec` additionally accepts
+//! reliable machine and ignore the plan, which the report says in one
+//! `fault plan not applied` line per such scheduler. `exec` additionally accepts
 //! `--deadline` (e.g. `30s`, `500ms`) arming the runtime's no-progress
 //! watchdog, and `--obs-json PATH` dumping a machine-readable run report
 //! (counters, per-worker telemetry, latency histograms, phase wall times)
@@ -32,7 +33,8 @@
 //! incremental OPT lower bound (live competitive ratio), histogram
 //! percentiles, retirement counters, and peak RSS. `--policy` additionally
 //! accepts `fifo` (the streaming centralized engine); `--faults` is
-//! rejected (the streaming engines model a reliable machine). `--certify`
+//! rejected (the streaming `--certify` path does not handle fault-injected
+//! runs). `--jobs 0` is rejected, as on the executor path. `--certify`
 //! (or `--certify on`) runs the `parflow-certify` exact-arithmetic P5
 //! check on the streamed summary — at speed 1 the reported max flow can
 //! never beat the incremental OPT lower bound — and appends the
@@ -285,12 +287,12 @@ fn config_from_flags(flags: &Flags, m: usize) -> Result<SimConfig, CliError> {
 }
 
 fn result_summary(
-    name: &str,
     inst: &Instance,
     cfg: &SimConfig,
     kind: SchedulerKind,
     seed: u64,
-) -> (String, Vec<String>, crate::core::SimResult) {
+) -> (Vec<String>, crate::core::SimResult) {
+    let name = kind.to_string();
     let r = kind.run(inst, cfg, seed).0;
     let flows: Vec<Rational> = r.outcomes.iter().map(|o| o.flow).collect();
     // An empty instance (or one whose flows all degrade to non-finite)
@@ -299,7 +301,7 @@ fn result_summary(
         Some(stats) => {
             let opt = opt_max_flow(inst, cfg.m);
             vec![
-                name.to_string(),
+                name,
                 format!("{:.1}", stats.max.to_f64()),
                 format!("{:.2}", (stats.max / opt).to_f64()),
                 format!("{:.1}", stats.mean),
@@ -310,7 +312,7 @@ fn result_summary(
         None => {
             let dash = "-".to_string();
             vec![
-                name.to_string(),
+                name,
                 dash.clone(),
                 dash.clone(),
                 dash.clone(),
@@ -319,12 +321,23 @@ fn result_summary(
             ]
         }
     };
-    (name.to_string(), row, r)
+    (row, r)
 }
 
 /// One line of fault accounting for a simulated run, or `None` when the
-/// run was fault-free (keeps fault-free output byte-identical).
-fn fault_summary(name: &str, r: &crate::core::SimResult) -> Option<String> {
+/// run was fault-free (keeps fault-free output byte-identical). A
+/// centralized scheduler never applies a fault plan; it gets one line
+/// saying so.
+fn fault_summary(
+    kind: SchedulerKind,
+    cfg: &SimConfig,
+    r: &crate::core::SimResult,
+) -> Option<String> {
+    if !kind.is_randomized() {
+        return (!cfg.faults.is_empty()).then(|| {
+            format!("{kind}: fault plan not applied (centralized engines model a reliable machine)")
+        });
+    }
     if r.fault_events.is_empty() && r.all_completed() {
         return None;
     }
@@ -334,7 +347,7 @@ fn fault_summary(name: &str, r: &crate::core::SimResult) -> Option<String> {
         .filter(|o| o.status.is_completed())
         .count();
     Some(format!(
-        "{name}: {completed}/{} jobs completed, {} failed (max completed flow {:.1}); \
+        "{kind}: {completed}/{} jobs completed, {} failed (max completed flow {:.1}); \
          {} crashed workers, {} reinjected tasks, {} injected panics",
         r.outcomes.len(),
         r.outcomes.len() - completed,
@@ -361,9 +374,9 @@ fn simulate_cmd(flags: &Flags) -> Result<String, CliError> {
         return Err(CliError::BadFlag("jobs".into(), "0".into()));
     }
     let mut t = Table::new(["scheduler", "max flow", "vs OPT", "mean", "p99", "busy"]);
-    let (name, row, r) = result_summary(&kind.to_string(), &inst, &cfg, kind, seed);
+    let (row, r) = result_summary(&inst, &cfg, kind, seed);
     t.row(row);
-    let faults = fault_summary(&name, &r)
+    let faults = fault_summary(kind, &cfg, &r)
         .map(|l| format!("\n{l}"))
         .unwrap_or_default();
     let util = inst.utilization(m).map(|u| u.to_f64()).unwrap_or(0.0);
@@ -388,9 +401,9 @@ fn compare_cmd(flags: &Flags) -> Result<String, CliError> {
     let mut t = Table::new(["scheduler", "max flow", "vs OPT", "mean", "p99", "busy"]);
     let mut fault_lines = Vec::new();
     for kind in SchedulerKind::all() {
-        let (name, row, r) = result_summary(&kind.to_string(), &inst, &cfg, kind, seed);
+        let (row, r) = result_summary(&inst, &cfg, kind, seed);
         t.row(row);
-        fault_lines.extend(fault_summary(&name, &r));
+        fault_lines.extend(fault_summary(kind, &cfg, &r));
     }
     let mut out = t.render();
     for l in &fault_lines {
@@ -458,7 +471,7 @@ fn analyze_cmd(flags: &Flags) -> Result<String, CliError> {
         ]);
     }
     out.push_str(&t.render());
-    if let Some(l) = fault_summary(&kind.to_string(), &r) {
+    if let Some(l) = fault_summary(kind, &cfg, &r) {
         out.push('\n');
         out.push_str(&l);
     }
@@ -475,10 +488,14 @@ fn analyze_cmd(flags: &Flags) -> Result<String, CliError> {
 fn exec_stream_cmd(flags: &Flags) -> Result<String, CliError> {
     let (spec, m) = workload_from_flags(flags)?;
     let seed: u64 = flags.parse_or("seed", 42u64)?;
+    if spec.n_jobs == 0 {
+        return Err(CliError::BadFlag("jobs".into(), "0".into()));
+    }
     if flags.get("faults").is_some() {
         return Err(CliError::BadFlag(
             "faults".into(),
-            "not supported with --stream on (the streaming engines model a reliable machine)"
+            "not supported with --stream on (the streaming --certify path does not handle \
+             fault-injected runs)"
                 .into(),
         ));
     }
@@ -535,9 +552,10 @@ fn exec_stream_cmd(flags: &Flags) -> Result<String, CliError> {
         run.flows.nan(),
     ));
     out.push_str(&format!(
-        "live OPT bound {:.2} ms -> ratio {:.2}\n",
+        "live OPT bound {:.2} ms -> ratio {}\n",
         run.opt.combined_lower_bound().to_f64() * to_ms,
-        run.competitive_ratio().unwrap_or(0.0),
+        run.competitive_ratio()
+            .map_or("n/a".to_string(), |r| format!("{r:.2}")),
     ));
     if certify {
         // Exact-arithmetic P5 check: at speed 1 the streamed max flow can
@@ -556,11 +574,14 @@ fn exec_stream_cmd(flags: &Flags) -> Result<String, CliError> {
         out.push_str(&format!("{}\n", report.render()));
     }
     out.push_str(&format!(
-        "retirement: {} retired, {} live high-water, {} slab slots (reuse {:.1}%), {} cursor slots",
+        "retirement: {} retired, {} live high-water, {} slab slots (reuse {}), {} cursor slots",
         run.summary.retire.jobs_retired,
         run.summary.retire.live_jobs_high_water,
         run.summary.retire.slab_slots,
-        run.summary.retire.slab_reuse_ratio().unwrap_or(0.0) * 100.0,
+        run.summary
+            .retire
+            .slab_reuse_ratio()
+            .map_or("n/a".to_string(), |r| format!("{:.1}%", r * 100.0)),
         run.summary.retire.cursor_slots,
     ));
     if let Some(kb) = parflow_bench::stream::peak_rss_kb() {
@@ -965,6 +986,7 @@ mod tests {
             "exec --iters-per-unit 0",
             "exec --policy warp-first",
             "exec --jobs 0",
+            "exec --stream --jobs 0",
         ] {
             let e = run_cli(&argv(cmd)).unwrap_err();
             assert!(
@@ -1057,6 +1079,42 @@ mod tests {
         ))
         .unwrap();
         assert!(out.contains("max flow"));
+    }
+
+    #[test]
+    fn centralized_schedulers_say_the_fault_plan_is_not_applied() {
+        let out = run_cli(&argv(
+            "simulate --jobs 200 --m 4 --qps 800 --scheduler fifo \
+             --faults crash:1@100,stall:2@50+500",
+        ))
+        .unwrap();
+        assert!(
+            out.ends_with(
+                "\nfifo: fault plan not applied (centralized engines model a reliable machine)"
+            ),
+            "{out}"
+        );
+        // Without a plan the output carries no fault line at all.
+        let out = run_cli(&argv(
+            "simulate --jobs 200 --m 4 --qps 800 --scheduler fifo",
+        ))
+        .unwrap();
+        assert!(!out.contains("fault plan"), "{out}");
+        // compare: one line per centralized scheduler, none mislabelled.
+        let out = run_cli(&argv(
+            "compare --jobs 100 --m 4 --qps 800 --faults crash:1@100",
+        ))
+        .unwrap();
+        for kind in ["fifo", "bwf", "lifo", "sjf", "equi"] {
+            assert!(
+                out.contains(&format!("\n{kind}: fault plan not applied")),
+                "{kind}: {out}"
+            );
+        }
+        assert!(
+            !out.contains("steal-16-first: fault plan not applied"),
+            "{out}"
+        );
     }
 
     #[test]

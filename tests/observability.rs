@@ -146,3 +146,142 @@ fn per_worker_counters_sum_to_engine_aggregates() {
     );
     assert_eq!(rec.samples("ws.flow_ticks").len(), inst.len());
 }
+
+/// The metric names one observed run emitted, per section, with per-entity
+/// indices stripped (`ws.worker.work_steps[3]` → `ws.worker.work_steps`).
+fn emitted_names(rec: &AggregatingRecorder) -> [Vec<String>; 3] {
+    let strip = |label: &str| label.split('[').next().unwrap_or(label).to_string();
+    let report = rec.report();
+    let mut counters: Vec<String> = report.counters.iter().map(|(l, _)| strip(l)).collect();
+    let mut gauges: Vec<String> = report.gauges.iter().map(|(l, _)| strip(l)).collect();
+    let mut samples: Vec<String> = report.histograms.iter().map(|h| h.name.clone()).collect();
+    for names in [&mut counters, &mut gauges, &mut samples] {
+        names.dedup();
+    }
+    [counters, gauges, samples]
+}
+
+/// Each `_observed` entry point emits a fixed metric taxonomy. The sets
+/// are pinned so that a refactor of the engines behind them cannot add,
+/// drop or rename a metric without this test saying so.
+#[test]
+fn observed_entry_points_emit_pinned_metric_names() {
+    use parflow::core::{
+        run_priority_stream_observed, run_worksteal_stream_observed, InstanceReplay,
+    };
+    let inst = probe_instance();
+    let cfg = SimConfig::new(8).with_free_steals();
+    let policy = StealPolicy::StealKFirst { k: 16 };
+    let names = |list: &[&str]| -> Vec<String> { list.iter().map(|s| s.to_string()).collect() };
+    let ws_worker = [
+        "ws.worker.admissions",
+        "ws.worker.failed_steal_rounds",
+        "ws.worker.idle_steps",
+        "ws.worker.max_failed_streak",
+        "ws.worker.steal_attempts",
+        "ws.worker.successful_steals",
+        "ws.worker.work_steps",
+    ];
+
+    let mut rec = AggregatingRecorder::new();
+    let _ = run_worksteal_observed(&inst, &cfg, policy, 12345, &mut rec);
+    let mut counters = names(&[
+        "ws.admissions",
+        "ws.crashed_workers",
+        "ws.faulted_steps",
+        "ws.idle_steps",
+        "ws.injected_panics",
+        "ws.reinjected_tasks",
+        "ws.steal_attempts",
+        "ws.successful_steals",
+        "ws.work_steps",
+    ]);
+    counters.extend(names(&ws_worker));
+    assert_eq!(
+        emitted_names(&rec),
+        [
+            counters,
+            names(&["ws.total_rounds"]),
+            names(&["ws.flow_ticks"])
+        ],
+        "run_worksteal_observed"
+    );
+
+    let mut rec = AggregatingRecorder::new();
+    run_worksteal_stream_observed(
+        &mut InstanceReplay::new(&inst),
+        &cfg,
+        policy,
+        12345,
+        &mut |_| {},
+        &mut rec,
+    )
+    .expect("replay streams cleanly");
+    let mut counters = names(&[
+        "ws.admissions",
+        "ws.idle_steps",
+        "ws.steal_attempts",
+        "ws.stream.cursor_slots",
+        "ws.stream.jobs_retired",
+        "ws.stream.live_jobs_high_water",
+        "ws.stream.slab_slots",
+        "ws.successful_steals",
+        "ws.work_steps",
+    ]);
+    counters.extend(names(&ws_worker));
+    assert_eq!(
+        emitted_names(&rec),
+        [
+            counters,
+            names(&["ws.stream.slab_reuse_ratio", "ws.total_rounds"]),
+            Vec::new()
+        ],
+        "run_worksteal_stream_observed"
+    );
+
+    let central = [
+        "central.event_horizons",
+        "central.idle_steps",
+        "central.quiescent_jumps",
+    ];
+    let mut rec = AggregatingRecorder::new();
+    let _ = run_priority_observed(&inst, &cfg, &Fifo, &mut rec);
+    let mut counters = names(&central);
+    counters.push("central.work_steps".to_string());
+    assert_eq!(
+        emitted_names(&rec),
+        [
+            counters,
+            names(&["central.total_rounds"]),
+            names(&["central.flow_ticks"])
+        ],
+        "run_priority_observed"
+    );
+
+    let mut rec = AggregatingRecorder::new();
+    run_priority_stream_observed(
+        &mut InstanceReplay::new(&inst),
+        &cfg,
+        &Fifo,
+        &mut |_| {},
+        &mut rec,
+    )
+    .expect("replay streams cleanly");
+    let mut counters = names(&central);
+    counters.extend(names(&[
+        "central.stream.cursor_slots",
+        "central.stream.jobs_retired",
+        "central.stream.live_jobs_high_water",
+        "central.stream.slab_slots",
+        "central.work_steps",
+    ]));
+    assert_eq!(
+        emitted_names(&rec),
+        [
+            counters,
+            names(&["central.stream.slab_reuse_ratio", "central.total_rounds"]),
+            Vec::new()
+        ],
+        "run_priority_stream_observed"
+    );
+}

@@ -52,10 +52,10 @@ pub fn run(qps: f64, n_jobs: usize, runs: usize, seed: u64) -> Vec<VariancePoint
 
     let fifo = simulate_fifo(&inst, &cfg).max_flow().to_f64() * to_ms;
     // Replicas of one policy differ only by seed, so each thread runs its
-    // chunk through the batched engine with a single lane: one arena (and
-    // all the SoA scratch) is recycled across every replica in the chunk
-    // instead of being re-grown per run, and the schedules stay
-    // bit-identical to per-replica `simulate_worksteal`.
+    // chunk through `simulate_batched`: one set of engine buffers (arena,
+    // deques, slab) is recycled across every replica in the chunk instead
+    // of being re-grown per run, and the schedules stay bit-identical to
+    // per-replica `simulate_worksteal`.
     let collect = |policy: StealPolicy| -> Vec<f64> {
         let specs: Vec<ReplicaSpec> = (0..runs)
             .map(|i| ReplicaSpec::new(cfg.clone(), policy, seed ^ (i as u64 + 1)))
@@ -63,7 +63,7 @@ pub fn run(qps: f64, n_jobs: usize, runs: usize, seed: u64) -> Vec<VariancePoint
         let chunk = runs.div_ceil(super::par_threads().max(1)).max(1);
         let chunks: Vec<Vec<ReplicaSpec>> = specs.chunks(chunk).map(<[_]>::to_vec).collect();
         super::par_map(chunks, |chunk| {
-            simulate_batched(&inst, &chunk, 1)
+            simulate_batched(&inst, &chunk)
                 .into_iter()
                 .map(|r| r.max_flow().to_f64() * to_ms)
                 .collect::<Vec<f64>>()

@@ -23,11 +23,11 @@ use std::time::Instant;
 pub const BATCH_B: usize = 8;
 
 /// Steal bound for the batched sweep: unit-step steal-`k`-first is the
-/// configuration whose idle probing spans the batched engine's k-burn
-/// window collapses, so this series is where batching shows up.
+/// configuration whose idle probing spans the engine core's k-burn window
+/// collapses, so this series is where that window shows up.
 pub const BATCH_SWEEP_K: u32 = 128;
 
-/// Machine size of the `giant_m` probe (bitset idle/victim tracking).
+/// Machine size of the `giant_m` probe (the core's O(m) window scans).
 pub const GIANT_M: usize = 256;
 
 /// The `stream_ws` probe streams this many times the materialized job
@@ -55,8 +55,10 @@ pub struct EngineThroughput {
     /// recycling should keep this ≈ 0.
     #[serde(default)]
     pub allocs_per_round: Option<f64>,
-    /// Aggregate rounds/sec divided by the sequential engine's rounds/sec
-    /// on the identical replica set. Present only for batched series.
+    /// Aggregate rounds/sec divided by per-replica `simulate_worksteal`'s
+    /// rounds/sec on the identical replica set. Both sides run the engine
+    /// core, so this reads about 1; the difference is buffer reuse.
+    /// Present only for batched series.
     #[serde(default)]
     pub speedup_vs_sequential: Option<f64>,
 }
@@ -160,12 +162,13 @@ pub struct BenchReport {
     pub ws_admit: EngineThroughput,
     /// Centralized FIFO engine (event-horizon stepping).
     pub centralized_fifo: EngineThroughput,
-    /// Batched engine, `BATCH_B`-replica seed sweep of unit-step
-    /// steal-`BATCH_SWEEP_K`-first; aggregate across replicas, with
-    /// `speedup_vs_sequential` against per-replica `simulate_worksteal`.
+    /// `simulate_batched`, a `BATCH_B`-replica seed sweep of unit-step
+    /// steal-`BATCH_SWEEP_K`-first on one set of engine buffers; aggregate
+    /// across replicas, with `speedup_vs_sequential` against per-replica
+    /// `simulate_worksteal` (fresh buffers each).
     pub batched_ws: EngineThroughput,
-    /// Batched engine, one replica at m = `GIANT_M` (u64-word bitset
-    /// idle/victim tracking), free-steal steal-16-first at ~65 % load.
+    /// `simulate_batched`, one warm replica at m = `GIANT_M`, free-steal
+    /// steal-16-first at ~65 % load.
     pub giant_m: EngineThroughput,
     /// Streaming work-stealing engine: the probe spec's endless job source
     /// pulled through `run_worksteal_stream` with slab/arena retirement,
@@ -221,13 +224,13 @@ pub fn measure(seed: u64) -> BenchReport {
     // steal-BATCH_SWEEP_K config on an admission-bound burst — n short
     // sequential jobs arriving at once, so between admissions every worker
     // spends k costly probe rounds (the paper's non-free-steal regime).
-    // Those spans are exactly what the batched engine's k-burn window
-    // collapses. Victim selection is the round-robin scan, whose probe
-    // cursor fast-forwards in closed form (`advance_scan`) — uniform
-    // sampling would put an O(k) per-span RNG-burn floor under the window.
-    // The sequential engine is timed on the identical replica set first,
-    // so `speedup_vs_sequential` is an apples-to-apples aggregate-rounds/s
-    // ratio with bit-identical schedules on both sides.
+    // Those spans are exactly what the core's k-burn window collapses.
+    // Victim selection is the round-robin scan, whose probe cursor
+    // fast-forwards in closed form (`advance_scan`) — uniform sampling
+    // would put an O(k) per-span RNG-burn floor under the window.
+    // Per-replica `simulate_worksteal` is timed on the identical replica
+    // set first, so `speedup_vs_sequential` is an apples-to-apples
+    // aggregate-rounds/s ratio with bit-identical schedules on both sides.
     let sweep_inst = {
         use parflow_dag::{shapes, Instance, Job};
         use std::sync::Arc;
@@ -253,7 +256,7 @@ pub fn measure(seed: u64) -> BenchReport {
 
     let a0 = crate::alloc_probe::alloc_count();
     let t = Instant::now();
-    let rs = simulate_batched(&sweep_inst, &specs, BATCH_B);
+    let rs = simulate_batched(&sweep_inst, &specs);
     let wall = t.elapsed().as_secs_f64();
     let allocs = crate::alloc_probe::alloc_count()
         .zip(a0)
@@ -264,10 +267,10 @@ pub fn measure(seed: u64) -> BenchReport {
 
     // Giant-m probe: m = GIANT_M, load scaled to ~65 % utilization so the
     // machine is neither idle nor drowning. Two identical replicas share
-    // one lane (`batch = 1`); the alloc numbers report only the second,
+    // one set of engine buffers; the alloc numbers report only the second,
     // warm replica's marginal allocations. The first replica's one-time
-    // lane growth (deques, bitset words, calendar buckets, arena slots —
-    // O(m + jobs)) would otherwise swamp the signal, and re-running the
+    // buffer growth (deques, slab, arena slots, fault vectors — O(m +
+    // jobs)) would otherwise swamp the signal, and re-running the
     // *same* seed makes the marginal count a pure leak detector: every
     // buffer already sits at its high-water mark, so any allocation the
     // warm replica performs is per-replica overhead that recycling missed.
@@ -278,10 +281,10 @@ pub fn measure(seed: u64) -> BenchReport {
     let cold = ReplicaSpec::new(giant_cfg.clone(), giant_policy, seed);
     let warm = ReplicaSpec::new(giant_cfg, giant_policy, seed);
     let a0 = crate::alloc_probe::alloc_count();
-    let single = simulate_batched(&giant_inst, std::slice::from_ref(&cold), 1);
+    let single = simulate_batched(&giant_inst, std::slice::from_ref(&cold));
     let a1 = crate::alloc_probe::alloc_count();
     let t = Instant::now();
-    let rs = simulate_batched(&giant_inst, &[cold, warm], 1);
+    let rs = simulate_batched(&giant_inst, &[cold, warm]);
     let wall = t.elapsed().as_secs_f64();
     let a2 = crate::alloc_probe::alloc_count();
     let cold_allocs = a1.zip(a0).map(|(a, b)| a - b);

@@ -127,7 +127,7 @@ pub fn run_priority_observed<P: JobPriority>(
     policy: &P,
     rec: &mut dyn Recorder,
 ) -> (SimResult, Option<ScheduleTrace>) {
-    let (result, trace) = replay_instance(instance, |replay, sink| {
+    let (result, trace) = replay_instance(instance, &mut Vec::new(), |replay, sink| {
         priority_engine(replay, config, policy, sink, rec)
     });
     if rec.enabled() {

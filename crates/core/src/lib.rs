@@ -70,8 +70,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batched;
-mod calendar;
 mod centralized;
 mod config;
 mod dispatch;
@@ -86,8 +84,6 @@ mod stream;
 mod trace;
 mod worksteal;
 
-pub use batched::{run_batched, simulate_batched, ReplicaSpec};
-pub use calendar::CalendarQueue;
 #[cfg(feature = "reference-engine")]
 pub use centralized::run_priority_reference;
 pub use centralized::{
@@ -118,7 +114,10 @@ pub use stream::{
     StreamSummary, StreamedJob,
 };
 pub use trace::{Action, ScheduleTrace, TraceSpan, TraceViolation};
-pub use worksteal::{run_worksteal, run_worksteal_observed, simulate_worksteal, StealPolicy};
+pub use worksteal::{
+    run_batched, run_worksteal, run_worksteal_observed, simulate_batched, simulate_worksteal,
+    ReplicaSpec, StealPolicy,
+};
 
 #[cfg(test)]
 mod proptests {

@@ -21,6 +21,20 @@
 //! through the slot's stored job id. Victim selection never reads job
 //! ids, so the RNG stream is independent of slot numbering.
 //!
+//! **Event windows.** Where the round-by-round behaviour is forced, the
+//! work-stealing loop consumes the whole span at once: every worker busy;
+//! idle workers with nothing to acquire; and the k-burn window, where
+//! under unit-cost steal-k-first the idle workers must keep failing steals
+//! until the first one reaches k. RNG draws are burned in exactly the
+//! positions per-round stepping would use. A traced run steps every
+//! round, so it is the reference the windows are tested against.
+//!
+//! **Replica runs.** Every heap buffer of the work-stealing loop lives in
+//! one `WsBuffers` set that the loop resets at the start of a run.
+//! Public entry points use a fresh set; [`crate::run_batched`] runs all
+//! its replicas on one set, so only the first replica pays warm-up
+//! allocations.
+//!
 //! **Faults.** The work-stealing loop runs the whole [`FaultPlan`]:
 //! crashes reinject the dead worker's tasks into an orphan FIFO that
 //! survivors adopt, stalls and slowdown gates freeze workers, blackholed
@@ -33,7 +47,7 @@
 
 use crate::centralized::JobPriority;
 use crate::config::{AdmissionOrder, SimConfig, StealCost, VictimStrategy};
-use crate::fault::{FaultEvent, FaultKind, JobStatus, PanicSampler, SlowdownGate, PPM};
+use crate::fault::{FaultEvent, FaultKind, FaultPlan, JobStatus, PanicSampler, SlowdownGate, PPM};
 use crate::opt::OptTracker;
 use crate::result::{BacklogSample, EngineStats, JobOutcome, SimResult};
 use crate::trace::{Action, ScheduleTrace};
@@ -263,22 +277,25 @@ pub struct StreamSummary {
 }
 
 /// Run an engine core over a replay of `instance` and assemble the
-/// materialized [`SimResult`], outcomes filed by job id: the thin driver
-/// behind every materialized entry point.
+/// materialized [`SimResult`], outcomes filed by job id into `outcomes`
+/// (cleared first, capacity kept): the replay behind every materialized
+/// entry point.
 pub(crate) fn replay_instance(
     instance: &Instance,
+    outcomes: &mut Vec<Option<JobOutcome>>,
     engine: impl FnOnce(
         &mut InstanceReplay<'_>,
         &mut dyn FnMut(&JobOutcome),
     ) -> Result<(StreamSummary, Option<ScheduleTrace>), StreamError>,
 ) -> (SimResult, Option<ScheduleTrace>) {
-    let mut outcomes: Vec<Option<JobOutcome>> = vec![None; instance.len()];
+    outcomes.clear();
+    outcomes.resize(instance.len(), None);
     let (summary, trace) = engine(&mut InstanceReplay::new(instance), &mut |o| {
         outcomes[o.job as usize] = Some(o.clone());
     })
     .expect("instance replays are arrival-sorted with dense u32 ids"); // lint: allow(panicking) invariant: Instance::new sorts by arrival and renumbers ids densely
     let outcomes = outcomes
-        .into_iter()
+        .drain(..)
         .map(|o| o.expect("every job retired")) // lint: allow(panicking) invariant: the engine loops exit only after every pulled job retired
         .collect();
     let result = SimResult {
@@ -291,6 +308,102 @@ pub(crate) fn replay_instance(
         fault_events: summary.fault_events,
     };
     (result, trace)
+}
+
+/// Replay `instance` through the work-stealing core on `bufs`: what runs
+/// behind [`crate::run_worksteal_observed`] (fresh buffers) and
+/// [`crate::run_batched`] (one set of buffers for every replica).
+pub(crate) fn replay_worksteal(
+    instance: &Instance,
+    config: &SimConfig,
+    policy: StealPolicy,
+    seed: u64,
+    rec: &mut dyn Recorder,
+    bufs: &mut WsBuffers,
+) -> (SimResult, Option<ScheduleTrace>) {
+    let mut outcomes = std::mem::take(&mut bufs.outcomes);
+    let out = replay_instance(instance, &mut outcomes, |replay, sink| {
+        worksteal_engine(
+            Puller::new(replay, 0)?,
+            config,
+            policy,
+            seed,
+            sink,
+            rec,
+            bufs,
+        )
+    });
+    bufs.outcomes = outcomes;
+    out
+}
+
+/// Every heap buffer of the work-stealing loop. Public entry points run
+/// on a fresh set; [`crate::run_batched`] runs all its replicas on one
+/// set, so only the first replica pays the warm-up allocations. The
+/// engine resets the set at the start of every run, keeping capacity.
+#[derive(Default)]
+pub(crate) struct WsBuffers {
+    workers: Vec<Worker>,
+    arena: CursorArena,
+    slab: JobSlab,
+    /// The global FIFO: slab slot ids in arrival order.
+    global_queue: VecDeque<u32>,
+    /// Tasks of crashed workers, adopted by survivors.
+    orphans: VecDeque<(u32, NodeId)>,
+    alive: Vec<bool>,
+    was_stalled: Vec<bool>,
+    gates: Vec<SlowdownGate>,
+    blackholed: Vec<bool>,
+    fault_boundaries: Vec<Round>,
+    ready_scratch: Vec<NodeId>,
+    sources_scratch: Vec<NodeId>,
+    /// Outcomes filed by job id ([`replay_worksteal`] only).
+    outcomes: Vec<Option<JobOutcome>>,
+}
+
+impl WsBuffers {
+    /// Restore the state of a fresh set for an `m`-worker run under
+    /// `faults`. Cursor slots are recycled in allocation order and the
+    /// slab is emptied, so slot numbering matches a fresh run's.
+    fn reset(&mut self, m: usize, faults: &FaultPlan) {
+        self.workers.truncate(m);
+        for (p, w) in self.workers.iter_mut().enumerate() {
+            w.current = None;
+            w.deque.clear();
+            w.pending.clear();
+            w.failed_steals = 0;
+            w.scan_next = p + 1;
+        }
+        let len = self.workers.len();
+        self.workers.extend((len..m).map(Worker::new));
+        self.arena.recycle_all();
+        self.slab.clear();
+        self.global_queue.clear();
+        self.orphans.clear();
+        self.alive.clear();
+        self.alive.resize(m, true);
+        self.was_stalled.clear();
+        self.was_stalled.resize(m, false);
+        self.gates.clear();
+        self.gates
+            .extend((0..m).map(|p| SlowdownGate::new(faults.rate_ppm_of(p))));
+        self.blackholed.clear();
+        self.blackholed
+            .extend((0..m).map(|p| faults.is_blackhole(p)));
+        // Rounds at which the plan changes some worker's behaviour;
+        // quiescent fast-forwards must not skip them.
+        self.fault_boundaries.clear();
+        self.fault_boundaries.extend(
+            faults.crashes.iter().map(|c| c.at_round).chain(
+                faults
+                    .stalls
+                    .iter()
+                    .flat_map(|s| [s.from_round, s.from_round.saturating_add(s.duration)]),
+            ),
+        );
+        self.fault_boundaries.sort_unstable();
+        self.fault_boundaries.dedup();
+    }
 }
 
 /// A live (released, not yet retired) job in the slab. The `Job` keeps the
@@ -313,6 +426,14 @@ struct JobSlab {
 }
 
 impl JobSlab {
+    /// Empty the slab for the next run, keeping capacity.
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.free.clear();
+        self.live = 0;
+        self.high_water = 0;
+    }
+
     /// Release `(id, job)` into a fresh or recycled slot.
     #[inline]
     fn alloc(&mut self, id: JobId, job: StreamedJob) -> u32 {
@@ -530,27 +651,36 @@ pub fn run_worksteal_stream_observed<S: JobStream>(
     sink: &mut dyn FnMut(&JobOutcome),
     rec: &mut dyn Recorder,
 ) -> Result<(StreamSummary, Option<ScheduleTrace>), StreamError> {
-    let out = run_worksteal_stream_with_base(stream, config, policy, seed, sink, rec, 0)?;
+    let out = worksteal_engine(
+        Puller::new(stream, 0)?,
+        config,
+        policy,
+        seed,
+        sink,
+        rec,
+        &mut WsBuffers::default(),
+    )?;
     if rec.enabled() {
         out.0.retire.record(rec, "ws.stream");
     }
     Ok(out)
 }
 
-/// The work-stealing engine behind every work-stealing entry point, with
-/// job ids starting at `id_base` (which exists so the `TooManyJobs`
-/// id-space guard is testable at the `u32::MAX` boundary without
-/// streaming 4 billion jobs first). Emits the `ws.worker.*` counters, the
-/// engine-level `ws.*` counters every entry point shares and the
-/// `ws.total_rounds` gauge; each entry point adds its own.
-pub(crate) fn run_worksteal_stream_with_base<S: JobStream>(
-    stream: &mut S,
+/// The work-stealing engine behind every work-stealing entry point,
+/// running on `bufs`. Job ids are assigned by `puller`, whose id base
+/// exists so the `TooManyJobs` id-space guard is testable at the
+/// `u32::MAX` boundary without streaming 4 billion jobs first. Emits the
+/// `ws.worker.*` counters, the engine-level `ws.*` counters every entry
+/// point shares and the `ws.total_rounds` gauge; each entry point adds
+/// its own.
+fn worksteal_engine<S: JobStream>(
+    mut puller: Puller<'_, S>,
     config: &SimConfig,
     policy: StealPolicy,
     seed: u64,
     sink: &mut dyn FnMut(&JobOutcome),
     rec: &mut dyn Recorder,
-    id_base: u64,
+    bufs: &mut WsBuffers,
 ) -> Result<(StreamSummary, Option<ScheduleTrace>), StreamError> {
     let m = config.m;
     let speed = config.speed;
@@ -561,11 +691,25 @@ pub(crate) fn run_worksteal_stream_with_base<S: JobStream>(
     }
     let mut rng = SmallRng::seed_from_u64(seed);
 
-    let mut workers: Vec<Worker> = (0..m).map(Worker::new).collect();
-    let mut arena = CursorArena::new();
-    let mut slab = JobSlab::default();
-    // The global FIFO holds slab slot ids in arrival order.
-    let mut global_queue: VecDeque<u32> = VecDeque::new();
+    // The buffers move into locals for the run (a loop over fields
+    // behind `bufs` measured ~3% slower) and move back at the end; a
+    // run that returns an error drops them.
+    bufs.reset(m, faults);
+    let WsBuffers {
+        mut workers,
+        mut arena,
+        mut slab,
+        mut global_queue,
+        mut orphans,
+        mut alive,
+        mut was_stalled,
+        mut gates,
+        blackholed,
+        fault_boundaries,
+        mut ready_scratch,
+        mut sources_scratch,
+        outcomes,
+    } = std::mem::take(bufs);
     let mut stats = EngineStats::default();
     let mut trace = config.record_trace.then(|| ScheduleTrace::new(m, speed));
     let mut samples: Vec<BacklogSample> = Vec::new();
@@ -585,35 +729,10 @@ pub(crate) fn run_worksteal_stream_with_base<S: JobStream>(
     // exactly where the dead one stopped without re-racing for the nodes.
     let faulty = !faults.is_empty();
     let mut fault_events: Vec<FaultEvent> = Vec::new();
-    let mut orphans: VecDeque<(u32, NodeId)> = VecDeque::new();
-    let mut alive: Vec<bool> = vec![true; m];
     let mut alive_count = m;
-    let mut was_stalled: Vec<bool> = vec![false; m];
-    let mut gates: Vec<SlowdownGate> = (0..m)
-        .map(|p| SlowdownGate::new(faults.rate_ppm_of(p)))
-        .collect();
-    let blackholed: Vec<bool> = (0..m).map(|p| faults.is_blackhole(p)).collect();
     let sampler = PanicSampler::new(seed, faults.panic_ppm);
     let has_stalls = !faults.stalls.is_empty();
     let mut crash_pending = (0..m).any(|p| faults.crash_round_of(p).is_some());
-    // Rounds at which the plan changes some worker's behaviour, sorted
-    // once up front; quiescent fast-forwards must not skip them.
-    let fault_boundaries: Vec<Round> = {
-        let mut b: Vec<Round> = faults
-            .crashes
-            .iter()
-            .map(|c| c.at_round)
-            .chain(
-                faults
-                    .stalls
-                    .iter()
-                    .flat_map(|s| [s.from_round, s.from_round.saturating_add(s.duration)]),
-            )
-            .collect();
-        b.sort_unstable();
-        b.dedup();
-        b
-    };
     let next_fault_boundary = |round: Round| -> Option<Round> {
         let i = fault_boundaries.partition_point(|&b| b <= round);
         fault_boundaries.get(i).copied()
@@ -652,7 +771,6 @@ pub(crate) fn run_worksteal_stream_with_base<S: JobStream>(
         }
     };
 
-    let mut puller = Puller::new(stream, id_base)?;
     let mut safety_cap = cap(&puller);
     let mut retired = Retired::new(sink);
     let mut released: u64 = 0;
@@ -660,10 +778,6 @@ pub(crate) fn run_worksteal_stream_with_base<S: JobStream>(
     let mut live_admitted = 0usize;
     let mut round: Round = 0;
     let mut last_busy_round: Round = 0;
-
-    // Scratch buffers hoisted out of the hot loop.
-    let mut ready_scratch: Vec<NodeId> = Vec::new();
-    let mut sources_scratch: Vec<NodeId> = Vec::new();
 
     'rounds: while puller.pending.is_some() || retired.count < released {
         assert!(
@@ -778,15 +892,20 @@ pub(crate) fn run_worksteal_stream_with_base<S: JobStream>(
         }
 
         // Event-window fast path: between events the round-by-round
-        // behaviour is forced. If every worker is busy (nobody pops, admits
-        // or steals), or the idle workers provably cannot acquire anything
-        // (global queue and every deque empty — so every steal attempt
-        // fails), then until the next node completion or arrival each
-        // round repeats the same pattern. Consume the whole span at once:
-        // busy workers bulk-execute their current node, idle workers'
-        // failed steal attempts are replayed onto the RNG stream without
-        // computing victims. Completions land in the last round of the
-        // span, exactly where the per-round loop would put them.
+        // behaviour is forced. Three cases qualify:
+        //   A. every worker is busy (nobody pops, admits or steals);
+        //   B. the idle workers provably cannot acquire anything (global
+        //      queue and every deque empty, so every steal attempt fails);
+        //   C. the k-burn window: unit-cost steals under steal-k-first,
+        //      nothing stealable, the queue non-empty, and every idle
+        //      worker below k failed steals, so each idle round is a
+        //      forced failed steal until the first worker reaches k.
+        // Until the next node completion, arrival or (case C) admission,
+        // each round repeats the same pattern. Consume the whole span at
+        // once: busy workers bulk-execute their current node, idle
+        // workers' failed steal attempts are replayed onto the RNG stream
+        // without computing victims. Completions land in the last round
+        // of the span, exactly where the per-round loop would put them.
         'window: {
             if !fast_ok {
                 break 'window;
@@ -820,12 +939,32 @@ pub(crate) fn run_worksteal_stream_with_base<S: JobStream>(
                     deques_empty = false;
                 }
             }
+            let mut steal_cap = u64::MAX;
             if busy == 0 || (busy < m && !(global_queue.is_empty() && deques_empty)) {
-                break 'window;
+                // Not case A or B; try case C, steal cost first so that
+                // free-steal runs pay one branch.
+                if config.steal_cost != StealCost::UnitStep
+                    || k == 0
+                    || !deques_empty
+                    || global_queue.is_empty()
+                {
+                    break 'window;
+                }
+                for w in workers.iter() {
+                    if w.current.is_none() {
+                        // Below k the worker steals for k − f more rounds;
+                        // the span stops before the first admission.
+                        steal_cap = steal_cap.min((k as u64).saturating_sub(w.failed_steals));
+                    }
+                }
+                if steal_cap < 2 {
+                    break 'window;
+                }
             }
-            // ≥ 2 by construction: every remaining-work and the arrival
-            // cap were pre-checked, so the span always beats per-round.
-            let delta = min_rem.min(arrival_cap);
+            // ≥ 2 by construction: every remaining-work, the arrival cap
+            // and the steal cap were pre-checked, so the span always beats
+            // per-round.
+            let delta = min_rem.min(arrival_cap).min(steal_cap);
             let last = round + delta - 1;
             // Backlog state is constant at the top of every round in the
             // span (completions only land *during* the last one), so
@@ -860,14 +999,20 @@ pub(crate) fn run_worksteal_stream_with_base<S: JobStream>(
                         }
                     }
                 }
-                match config.victim {
-                    VictimStrategy::Uniform => {
-                        burn_uniform_draws(&mut rng, m, delta * per_round * idle);
-                    }
-                    VictimStrategy::RoundRobinScan => {
-                        for (p, w) in workers.iter_mut().enumerate() {
-                            if w.current.is_none() {
-                                w.scan_next = advance_scan(w.scan_next, p, m, delta * per_round);
+                // `m == 1` burns no per-attempt state, mirroring
+                // `burn_failed_attempts` (only case C reaches here with
+                // m = 1: its lone worker is idle).
+                if m > 1 {
+                    match config.victim {
+                        VictimStrategy::Uniform => {
+                            burn_uniform_draws(&mut rng, m, delta * per_round * idle);
+                        }
+                        VictimStrategy::RoundRobinScan => {
+                            for (p, w) in workers.iter_mut().enumerate() {
+                                if w.current.is_none() {
+                                    w.scan_next =
+                                        advance_scan(w.scan_next, p, m, delta * per_round);
+                                }
                             }
                         }
                     }
@@ -1235,12 +1380,27 @@ pub(crate) fn run_worksteal_stream_with_base<S: JobStream>(
         retire: slab.retirement(&arena, retired.count),
         fault_events,
     };
+    *bufs = WsBuffers {
+        workers,
+        arena,
+        slab,
+        global_queue,
+        orphans,
+        alive,
+        was_stalled,
+        gates,
+        blackholed,
+        fault_boundaries,
+        ready_scratch,
+        sources_scratch,
+        outcomes,
+    };
     Ok((summary, trace))
 }
 
 /// Pop the next slot to admit: the front (FIFO) or the largest-weight
-/// queued job (ties to the earlier arrival, i.e. the smaller job id) —
-/// the slab-indexed mirror of `worksteal::pop_admission`.
+/// queued job (distributed BWF; ties go to the earlier arrival, i.e. the
+/// smaller job id).
 fn pop_admission_slot(
     queue: &mut VecDeque<u32>,
     slab: &JobSlab,
@@ -1530,6 +1690,7 @@ pub(crate) fn priority_engine<P: JobPriority, S: JobStream>(
 mod tests {
     use super::*;
     use crate::centralized::Fifo;
+    use crate::ReplicaSpec;
     use parflow_dag::shapes;
 
     fn inst_seq(arrivals_works: &[(u64, u64)]) -> Instance {
@@ -1636,14 +1797,14 @@ mod tests {
         let cfg = SimConfig::new(2);
         let policy = StealPolicy::StealKFirst { k: 2 };
         let run = |base: u64, ids: &mut Vec<u32>| {
-            run_worksteal_stream_with_base(
-                &mut InstanceReplay::new(&inst),
+            worksteal_engine(
+                Puller::new(&mut InstanceReplay::new(&inst), base)?,
                 &cfg,
                 policy,
                 7,
                 &mut |o| ids.push(o.job),
                 &mut NullRecorder,
-                base,
+                &mut WsBuffers::default(),
             )
         };
 
@@ -1718,6 +1879,72 @@ mod tests {
             .iter()
             .all(|e| e.kind == FaultKind::TaskPanic));
         assert_eq!(sum.retire.jobs_retired, 3);
+    }
+
+    #[test]
+    fn empty_specs_empty_results() {
+        let inst = inst_seq(&[(0, 1)]);
+        assert!(crate::run_batched(&inst, &[]).is_empty());
+    }
+
+    #[test]
+    fn single_replica_matches_sequential() {
+        let inst = inst_seq(&[(0, 7), (3, 2), (9, 5)]);
+        let cfg = SimConfig::new(2);
+        let policy = StealPolicy::StealKFirst { k: 3 };
+        let seq = crate::simulate_worksteal(&inst, &cfg, policy, 42);
+        let out = crate::simulate_batched(&inst, &[ReplicaSpec::new(cfg, policy, 42)]);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0], seq);
+    }
+
+    #[test]
+    fn k_burn_window_matches_per_round_counters() {
+        // 2 unit jobs, 2 workers, k = 3: both workers burn exactly 3
+        // failed steal rounds before admitting (the k-burn window path).
+        let inst = inst_seq(&[(0, 1), (0, 1)]);
+        let cfg = SimConfig::new(2);
+        let policy = StealPolicy::StealKFirst { k: 3 };
+        let r = &crate::simulate_batched(&inst, &[ReplicaSpec::new(cfg.clone(), policy, 7)])[0];
+        let seq = crate::simulate_worksteal(&inst, &cfg, policy, 7);
+        assert_eq!(*r, seq);
+        // A traced run steps every round: the per-round reference.
+        let (stepped, _) = crate::run_worksteal(&inst, &cfg.with_trace(), policy, 7);
+        assert_eq!(*r, stepped);
+        assert_eq!(r.stats.steal_attempts, 6);
+        assert_eq!(r.stats.admissions, 2);
+    }
+
+    #[test]
+    fn faulted_and_clean_replicas_share_buffers() {
+        use crate::fault::FaultPlan;
+        // Replicas of different machine sizes and fault plans run back to
+        // back on one set of buffers; each matches its fresh-buffer run.
+        let inst = inst_seq(&[(0, 6), (1, 6), (2, 3), (40, 5)]);
+        let plan = FaultPlan::none().crash(1, 2).stall(2, 1, 5).blackhole(0);
+        let specs = [
+            ReplicaSpec::new(
+                SimConfig::new(3).with_faults(plan),
+                StealPolicy::AdmitFirst,
+                3,
+            ),
+            ReplicaSpec::new(SimConfig::new(2), StealPolicy::StealKFirst { k: 4 }, 3),
+            ReplicaSpec::new(
+                SimConfig::new(4).with_faults(FaultPlan::none().slowdown(0, 500_000)),
+                StealPolicy::StealKFirst { k: 2 },
+                5,
+            ),
+            ReplicaSpec::new(
+                SimConfig::new(2).with_victim_scan(),
+                StealPolicy::AdmitFirst,
+                3,
+            ),
+        ];
+        let out = crate::simulate_batched(&inst, &specs);
+        for (spec, got) in specs.iter().zip(&out) {
+            let want = crate::simulate_worksteal(&inst, &spec.config, spec.policy, spec.seed);
+            assert_eq!(*got, want);
+        }
     }
 
     #[test]

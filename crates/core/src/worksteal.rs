@@ -30,11 +30,11 @@
 //! lower-indexed workers in the same round (modelling racy concurrency
 //! deterministically).
 
-use crate::config::{AdmissionOrder, SimConfig, StealAmount, VictimStrategy};
+use crate::config::{SimConfig, StealAmount, VictimStrategy};
 use crate::result::SimResult;
-use crate::stream::{replay_instance, run_worksteal_stream_with_base};
+use crate::stream::{replay_worksteal, WsBuffers};
 use crate::trace::ScheduleTrace;
-use parflow_dag::{Instance, Job, JobId, NodeId};
+use parflow_dag::{Instance, NodeId};
 use parflow_obs::{NullRecorder, Recorder};
 use rand::rngs::SmallRng;
 use rand::RngCore;
@@ -306,27 +306,6 @@ pub(crate) fn burn_failed_attempts(
     }
 }
 
-/// Pop the next job to admit according to the admission order: the front
-/// (FIFO) or the largest-weight queued job (distributed BWF; ties go to
-/// the earlier arrival, i.e. the smaller id).
-pub(crate) fn pop_admission(
-    queue: &mut VecDeque<JobId>,
-    jobs: &[Job],
-    order: AdmissionOrder,
-) -> Option<JobId> {
-    match order {
-        AdmissionOrder::Fifo => queue.pop_front(),
-        AdmissionOrder::ByWeight => {
-            let best = queue
-                .iter()
-                .enumerate()
-                .max_by_key(|&(_, &jid)| (jobs[jid as usize].weight, std::cmp::Reverse(jid)))?
-                .0;
-            queue.remove(best)
-        }
-    }
-}
-
 /// Simulate work stealing with the given `policy` on `instance`.
 ///
 /// `seed` drives victim selection; runs are bit-reproducible for a given
@@ -355,7 +334,8 @@ pub fn run_worksteal(
 /// per-job `ws.flow_ticks` samples are emitted at the end of the run.
 ///
 /// A thin driver: the instance is replayed through the streaming engine
-/// core ([`crate::run_worksteal_stream`]), outcomes filed by job id.
+/// core ([`crate::run_worksteal_stream`]) on fresh engine buffers,
+/// outcomes filed by job id.
 pub fn run_worksteal_observed(
     instance: &Instance,
     config: &SimConfig,
@@ -363,9 +343,14 @@ pub fn run_worksteal_observed(
     seed: u64,
     rec: &mut dyn Recorder,
 ) -> (SimResult, Option<ScheduleTrace>) {
-    let (result, trace) = replay_instance(instance, |replay, sink| {
-        run_worksteal_stream_with_base(replay, config, policy, seed, sink, rec, 0)
-    });
+    let (result, trace) = replay_worksteal(
+        instance,
+        config,
+        policy,
+        seed,
+        rec,
+        &mut WsBuffers::default(),
+    );
     if rec.enabled() {
         let stats = &result.stats;
         rec.counter("ws.faulted_steps", stats.faulted_steps);
@@ -387,6 +372,71 @@ pub fn simulate_worksteal(
     seed: u64,
 ) -> SimResult {
     run_worksteal(instance, config, policy, seed).0
+}
+
+/// One replica of a batched run: a simulation config, a steal policy and
+/// the seed of the replica's private victim-selection RNG stream.
+#[derive(Clone, Debug)]
+pub struct ReplicaSpec {
+    /// Simulation configuration (machine size, speed, steal model, …).
+    pub config: SimConfig,
+    /// Admission policy.
+    pub policy: StealPolicy,
+    /// Seed of this replica's RNG stream; the replica's schedule is
+    /// bit-identical to `run_worksteal(instance, &config, policy, seed)`.
+    pub seed: u64,
+}
+
+impl ReplicaSpec {
+    /// Convenience constructor.
+    pub fn new(config: SimConfig, policy: StealPolicy, seed: u64) -> Self {
+        ReplicaSpec {
+            config,
+            policy,
+            seed,
+        }
+    }
+}
+
+/// Run every replica in `specs` on `instance`, in spec order, through the
+/// engine core on one set of engine buffers, so only the first replica
+/// pays warm-up allocations (replica sweeps: seed variance, confidence
+/// intervals, phase diagrams).
+///
+/// Each entry is bit-identical to
+/// `run_worksteal(instance, &spec.config, spec.policy, spec.seed)`; the
+/// differential proptests in `tests/engine_differential.rs` pin outcomes,
+/// stats, samples and `ScheduleTrace` equality.
+///
+/// # Panics
+///
+/// If some replica's fault plan is invalid for its `config.m`.
+pub fn run_batched(
+    instance: &Instance,
+    specs: &[ReplicaSpec],
+) -> Vec<(SimResult, Option<ScheduleTrace>)> {
+    let mut bufs = WsBuffers::default();
+    specs
+        .iter()
+        .map(|s| {
+            replay_worksteal(
+                instance,
+                &s.config,
+                s.policy,
+                s.seed,
+                &mut NullRecorder,
+                &mut bufs,
+            )
+        })
+        .collect()
+}
+
+/// Convenience wrapper returning only the [`SimResult`]s, in spec order.
+pub fn simulate_batched(instance: &Instance, specs: &[ReplicaSpec]) -> Vec<SimResult> {
+    run_batched(instance, specs)
+        .into_iter()
+        .map(|(r, _)| r)
+        .collect()
 }
 
 #[cfg(test)]

@@ -108,8 +108,8 @@ impl CursorArena {
 
     /// Return every slot to the free list, keeping all buffer capacity.
     ///
-    /// Bulk reset between independent runs sharing one arena (the batched
-    /// engine recycles a lane's arena across replicas this way). Unlike
+    /// Bulk reset between independent runs sharing one arena (replica
+    /// runs recycle the work-stealing core's arena this way). Unlike
     /// per-slot [`CursorArena::release`], outstanding [`CursorId`]s are
     /// *all* invalidated — callers must drop theirs first.
     pub fn recycle_all(&mut self) {

@@ -9,6 +9,7 @@
 //! parflow exec     --jobs 200 --m 4 --faults crash:3@1000,panic:0.01 --deadline 30s
 //! parflow exec     --stream --jobs 10000000 --policy steal-16-first
 //! parflow serve    run --input subs.jsonl --workers 2 --slo 5000
+//! parflow sweep    --grid smoke --out store.jsonl
 //! parflow dot      --shape fork-join --depth 3 --leaf 4
 //! ```
 //!
@@ -54,6 +55,25 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
 
+/// The usage text: every command [`run_cli`] dispatches. `parflow help`,
+/// `--help` and `-h` print it; the binary also prints it after an error.
+pub const USAGE: &str = "\
+usage:
+  parflow simulate --dist bing|finance|lognormal --qps N --jobs N \\
+                   --m N --scheduler fifo|bwf|lifo|sjf|equi|admit-first|steal-<k>-first \\
+                   [--speed NUM[/DEN]] [--steals free|unit] [--seed N] [--grain N]
+                   [--faults crash:W@R,slow:WxF,stall:W@R+D,blackhole:W,panic:P]
+  parflow compare  <same workload flags>
+  parflow generate <same workload flags> --out FILE.json
+  parflow analyze  --in FILE.json [--scheduler S] [--m N] [--eps NUM/DEN]
+  parflow exec     <workload flags> --policy admit-first|steal-<k>-first \\
+                   [--faults SPEC] [--deadline 30s|500ms] [--compress N] [--iters-per-unit N] [--obs-json FILE]
+  parflow exec     --stream [--certify] <workload flags> --policy fifo|admit-first|steal-<k>-first
+  parflow serve    emit|run|tcp [--flag value ...]
+  parflow sweep    [--grid SPEC|smoke|phase] [--out PATH] [--resume] [--stream] [--certify] (sweep --help)
+  parflow dot      --shape single|chain|diamond|parallel-for|fork-join|map-reduce|pipeline|adversarial [shape flags]
+  parflow help     print this text (also --help, -h)";
+
 /// CLI errors (all user-facing).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CliError {
@@ -73,7 +93,7 @@ impl fmt::Display for CliError {
             CliError::UnknownCommand(c) => {
                 write!(
                     f,
-                    "unknown command '{c}'; try simulate|compare|generate|analyze|exec|serve|sweep|dot"
+                    "unknown command '{c}'; try simulate|compare|generate|analyze|exec|serve|sweep|dot|help"
                 )
             }
             CliError::BadFlag(k, v) => write!(f, "bad value '{v}' for --{k}"),
@@ -379,13 +399,17 @@ fn simulate_cmd(flags: &Flags) -> Result<String, CliError> {
     let faults = fault_summary(kind, &cfg, &r)
         .map(|l| format!("\n{l}"))
         .unwrap_or_default();
-    let util = inst.utilization(m).map(|u| u.to_f64()).unwrap_or(0.0);
+    // At extreme QPS every arrival rounds to tick 0 and the load measure
+    // (work over the arrival horizon) is undefined, not zero.
+    let util = match inst.utilization(m) {
+        Some(u) => format!("{:.0}%", u.to_f64() * 100.0),
+        None => "n/a (all jobs arrive at t=0)".to_string(),
+    };
     let stats = InstanceStats::of(&inst).expect("non-empty");
     Ok(format!(
-        "workload: {} @{:.0} QPS, m={m}, utilization {:.0}% (flows in ticks; 1 tick = 0.1 ms)\n{stats}\n{}{faults}",
+        "workload: {} @{:.0} QPS, m={m}, utilization {util} (flows in ticks; 1 tick = 0.1 ms)\n{stats}\n{}{faults}",
         spec.dist.name(),
         spec.qps.unwrap_or(0.0),
-        util * 100.0,
         t.render()
     ))
 }
@@ -743,6 +767,9 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
     let (cmd, rest) = args
         .split_first()
         .ok_or_else(|| CliError::UnknownCommand("<none>".into()))?;
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        return Ok(USAGE.to_string());
+    }
     if cmd == "serve" {
         // The streaming admission service has its own flag grammar
         // (boolean flags, subcommands); delegate before Flags::parse.
@@ -806,6 +833,39 @@ mod tests {
             run_cli(&argv("frobnicate")),
             Err(CliError::UnknownCommand(_))
         ));
+    }
+
+    #[test]
+    fn help_names_every_command() {
+        for arg in ["help", "--help", "-h"] {
+            let out = run_cli(&argv(arg)).expect("help is not an error");
+            assert_eq!(out, USAGE);
+            for cmd in [
+                "simulate", "compare", "generate", "analyze", "exec", "serve", "sweep", "dot",
+                "help",
+            ] {
+                assert!(out.contains(&format!("parflow {cmd} ")), "{arg}: {cmd}");
+            }
+        }
+    }
+
+    #[test]
+    fn simulate_at_extreme_qps_reports_utilization_na() {
+        // Every arrival rounds to tick 0: the load is undefined, not 0%.
+        let out = run_cli(&argv(
+            "simulate --dist bing --qps 1e9 --jobs 50 --m 4 --scheduler fifo",
+        ))
+        .unwrap();
+        assert!(
+            out.contains("utilization n/a (all jobs arrive at t=0)"),
+            "{out}"
+        );
+        assert!(!out.contains("utilization 0%"));
+        let out = run_cli(&argv(
+            "simulate --dist bing --qps 1000 --jobs 50 --m 4 --scheduler fifo",
+        ))
+        .unwrap();
+        assert!(out.contains("% (flows in ticks"), "{out}");
     }
 
     #[test]

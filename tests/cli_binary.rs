@@ -42,6 +42,18 @@ fn bad_command_exits_nonzero_with_usage() {
 }
 
 #[test]
+fn help_exits_zero_with_usage_on_stdout() {
+    for arg in ["--help", "-h", "help"] {
+        let out = parflow(&[arg]);
+        assert!(out.status.success(), "{arg}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with("usage:"), "{arg}: {stdout}");
+        assert!(stdout.contains("parflow sweep"));
+        assert!(out.stderr.is_empty());
+    }
+}
+
+#[test]
 fn missing_flag_exits_nonzero() {
     let out = parflow(&["simulate", "--jobs", "10"]);
     assert!(!out.status.success());

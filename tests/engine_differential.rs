@@ -7,6 +7,11 @@
 //! counts, speeds (including fractional augmentation) and priority policies,
 //! the two must be **bit-identical**: same outcomes, same stats, same round
 //! counts, and the same trace round-for-round.
+//!
+//! The work-stealing core gets the same treatment: its event windows
+//! (including the steal-k-first k-burn window) are checked against the
+//! traced run, which steps every round, and `run_batched`'s replicas on
+//! reused engine buffers against fresh `run_worksteal` runs.
 
 use parflow::core::{
     run_priority, run_priority_reference, BiggestWeightFirst, Fifo, JobPriority, Lifo,
@@ -136,17 +141,18 @@ fn single_processor_long_chain_is_bit_identical() {
 }
 
 // ---------------------------------------------------------------------------
-// Batched-replica engine differentials: `run_batched` steps B independent
-// replicas over shared SoA lanes (calendar queue, bitsets, k-burn windows)
-// and must be bit-identical, replica by replica, to `run_worksteal` — the
-// sequential engine is its behavioural reference, exactly as
-// `run_priority_reference` anchors the centralized fast path.
+// Work-stealing core differentials. The core bulk-steps forced round spans
+// (event windows A and B, and the k-burn window C); a traced run steps
+// every round, so it is the behavioural reference for the windows, exactly
+// as `run_priority_reference` anchors the centralized fast path.
+// `run_batched` runs replicas back to back on one set of engine buffers
+// and must be bit-identical, replica by replica, to a fresh `run_worksteal`.
 // ---------------------------------------------------------------------------
 
 use parflow::core::{run_batched, run_worksteal, ReplicaSpec};
 
 /// A random work-stealing replica spec: config knobs that all interact
-/// with the batched fast paths (steal cost, victim strategy, steal amount,
+/// with the event windows (steal cost, victim strategy, steal amount,
 /// admission order, sampling cadence, trace recording) plus policy + seed.
 fn arb_replica_spec() -> impl Strategy<Value = ReplicaSpec> {
     (
@@ -192,15 +198,54 @@ fn arb_replica_spec() -> impl Strategy<Value = ReplicaSpec> {
         )
 }
 
-/// Assert every batched replica matches its sequential run bit-for-bit,
-/// including the trace.
-fn assert_batch_identical(inst: &Instance, specs: &[ReplicaSpec], lanes: usize) {
-    let batched = run_batched(inst, specs, lanes);
+/// Assert the untraced run of `spec`, which may bulk-step event windows,
+/// equals the traced run, which steps every round: same outcomes, stats,
+/// samples and round count.
+fn assert_windows_match_round_stepping(inst: &Instance, spec: &ReplicaSpec) {
+    let mut cfg = spec.config.clone();
+    cfg.record_trace = false;
+    let (windowed, none) = run_worksteal(inst, &cfg, spec.policy, spec.seed);
+    let (stepped, trace) = run_worksteal(inst, &cfg.with_trace(), spec.policy, spec.seed);
+    assert!(none.is_none() && trace.is_some());
+    assert_eq!(windowed.outcomes, stepped.outcomes, "outcomes");
+    assert_eq!(windowed.stats, stepped.stats, "stats");
+    assert_eq!(windowed.samples, stepped.samples, "samples");
+    assert_eq!(windowed.total_rounds, stepped.total_rounds, "total_rounds");
+    assert_eq!(windowed, stepped, "result");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn event_windows_match_round_stepping(
+        inst in arb_instance(),
+        spec in arb_replica_spec(),
+        m in prop_oneof![Just(None), Just(Some(1usize)), Just(Some(256usize))],
+        extra_k in 0u32..24
+    ) {
+        // Larger k than `arb_replica_spec` draws gives long k-burn spans.
+        let mut spec = spec;
+        if let Some(m) = m {
+            spec.config.m = m;
+        }
+        if let StealPolicy::StealKFirst { k } = spec.policy {
+            spec.policy = StealPolicy::StealKFirst { k: k + extra_k };
+        }
+        assert_windows_match_round_stepping(&inst, &spec);
+    }
+}
+
+/// Assert every replica of `run_batched` (one set of reused buffers)
+/// matches its fresh-buffer `run_worksteal` bit-for-bit, including the
+/// trace.
+fn assert_batch_identical(inst: &Instance, specs: &[ReplicaSpec]) {
+    let batched = run_batched(inst, specs);
     assert_eq!(batched.len(), specs.len());
     for (i, (spec, (result, trace))) in specs.iter().zip(&batched).enumerate() {
         let (want_result, want_trace) = run_worksteal(inst, &spec.config, spec.policy, spec.seed);
-        assert_eq!(*result, want_result, "replica {i} (lanes={lanes}): result");
-        assert_eq!(*trace, want_trace, "replica {i} (lanes={lanes}): trace");
+        assert_eq!(*result, want_result, "replica {i}: result");
+        assert_eq!(*trace, want_trace, "replica {i}: trace");
         if let Some(t) = trace {
             assert_eq!(t.validate(inst), Ok(()), "replica {i}: trace validity");
             let report =
@@ -214,12 +259,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn batched_replicas_are_bit_identical_across_lane_counts(
+    fn batched_replicas_on_reused_buffers_are_bit_identical(
         inst in arb_instance(),
-        specs in proptest::collection::vec(arb_replica_spec(), 1..8),
-        lanes in prop_oneof![Just(1usize), Just(2usize), Just(7usize)]
+        specs in proptest::collection::vec(arb_replica_spec(), 1..8)
     ) {
-        assert_batch_identical(&inst, &specs, lanes);
+        assert_batch_identical(&inst, &specs);
     }
 
     #[test]
@@ -230,7 +274,7 @@ proptest! {
         let specs: Vec<ReplicaSpec> = (0..7)
             .map(|i| ReplicaSpec::new(spec.config.clone(), spec.policy, seed0 ^ (i + 1)))
             .collect();
-        assert_batch_identical(&inst, &specs, 2);
+        assert_batch_identical(&inst, &specs);
     }
 }
 
@@ -251,14 +295,19 @@ proptest! {
         } else {
             StealPolicy::StealKFirst { k }
         };
-        assert_batch_identical(&inst, &[ReplicaSpec::new(cfg, policy, seed)], 1);
+        // Two replicas, so the second runs on the first one's buffers.
+        let specs = [
+            ReplicaSpec::new(cfg.clone(), policy, seed),
+            ReplicaSpec::new(cfg, policy, seed ^ 1),
+        ];
+        assert_batch_identical(&inst, &specs);
     }
 }
 
 /// Satellite regression: the admit-first (`ws_admit`) free-steal
 /// configuration counts `2m` bounded steal attempts per idle worker per
-/// round; the batched path must report per-replica `steal_attempts`
-/// (and every other counter) identical to the sequential engine.
+/// round; replicas on reused buffers must report `steal_attempts` (and
+/// every other counter) identical to a fresh run.
 #[test]
 fn ws_admit_steal_attempts_match_sequential_exactly() {
     let jobs = vec![
@@ -272,7 +321,7 @@ fn ws_admit_steal_attempts_match_sequential_exactly() {
     let specs: Vec<ReplicaSpec> = (0..3)
         .map(|i| ReplicaSpec::new(cfg.clone(), StealPolicy::AdmitFirst, 0x5eed ^ i))
         .collect();
-    let batched = run_batched(&inst, &specs, 3);
+    let batched = run_batched(&inst, &specs);
     for (spec, (result, _)) in specs.iter().zip(&batched) {
         let (want, _) = run_worksteal(&inst, &spec.config, spec.policy, spec.seed);
         assert_eq!(
@@ -283,7 +332,7 @@ fn ws_admit_steal_attempts_match_sequential_exactly() {
         assert_eq!(result.stats, want.stats, "seed {}: stats", spec.seed);
         assert_eq!(*result, want, "seed {}: full result", spec.seed);
     }
-    // Pin the absolute value so both engines regressing together still
+    // Pin the absolute value so both paths regressing together still
     // trips the test (seed 0x5eed, the exact stream the goldens freeze).
     assert_eq!(batched[0].0.stats.steal_attempts, 354);
 }

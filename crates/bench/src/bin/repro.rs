@@ -20,14 +20,19 @@
 //! JSON (the `BENCH_engine.json` trajectory baseline); `--obs-json PATH`
 //! times every experiment as an observability phase, runs instrumented
 //! engine + runtime probes, and writes the `parflow-obs` run report
-//! (counters, per-worker telemetry, latency histograms, phase wall times).
+//! (counters, per-worker telemetry, latency histograms, phase wall times);
+//! `--jobs N` sets the `serve-soak` submission count (default
+//! `min(PARFLOW_JOBS, 5000)`). A streaming multi-million-job run is
+//! `parflow exec --stream --jobs N`.
 //! Environment: `PARFLOW_JOBS=100000` for paper-scale runs, `PARFLOW_SEED`
 //! to reseed, `PARFLOW_THREADS` to size the experiment-point thread pool.
+//! A set but unparsable value, or `PARFLOW_JOBS=0` / `PARFLOW_THREADS=0`,
+//! is a usage error (exit 2), as is `--jobs 0`.
 
 use parflow_bench::experiments::{
-    backlog, base_seed, burst, equi_ablation, fault_resilience, fig2, fig3, grain, intervals,
-    jobs_per_point, lemma_audit, lower_bound, norms, scaling, serve_soak, steal_amount, steal_k,
-    theory_bwf, theory_fifo, theory_ws, variance, victim_ablation, weighted_ws,
+    backlog, base_seed, burst, check_env, equi_ablation, fault_resilience, fig2, fig3, grain,
+    intervals, jobs_per_point, lemma_audit, lower_bound, norms, scaling, serve_soak, steal_amount,
+    steal_k, theory_bwf, theory_fifo, theory_ws, variance, victim_ablation, weighted_ws,
 };
 use parflow_bench::{throughput, Reporter};
 use parflow_obs::{AggregatingRecorder, Recorder};
@@ -64,8 +69,8 @@ const EXPERIMENTS: &[&str] = &[
 fn usage_error(msg: &str) -> ! {
     eprintln!("repro: {msg}");
     eprintln!(
-        "usage: repro [--csv DIR] [--bench-json PATH] [--obs-json PATH] [--stream] [--jobs N] \
-         [--list] [EXPERIMENT...]"
+        "usage: repro [--csv DIR] [--bench-json PATH] [--obs-json PATH] [--jobs N] [--list] \
+         [EXPERIMENT...]"
     );
     std::process::exit(2);
 }
@@ -120,6 +125,9 @@ fn run_fig2(dist: DistKind, panel: &str, reporter: &Reporter) {
 fn main() {
     let started = std::time::Instant::now();
     let raw: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(msg) = check_env() {
+        usage_error(&msg);
+    }
     // `repro sweep …` is a subcommand with its own flag grammar (boolean
     // `--resume`, grid specs); dispatch before experiment-name parsing.
     if raw.first().map(String::as_str) == Some("sweep") {
@@ -139,20 +147,16 @@ fn main() {
     let mut reporter = Reporter::stdout_only();
     let mut bench_json: Option<String> = None;
     let mut obs_json: Option<String> = None;
-    let mut stream_mode = false;
-    let mut jobs_override: Option<u64> = None;
+    let mut jobs_override: Option<usize> = None;
     let mut it = raw.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--stream" => {
-                stream_mode = true;
-            }
             "--jobs" => {
                 let v = it
                     .next()
                     .unwrap_or_else(|| usage_error("--jobs needs a count argument"));
-                jobs_override = Some(v.parse().unwrap_or_else(|_| {
-                    usage_error(&format!("--jobs needs a non-negative integer, got `{v}`"))
+                jobs_override = Some(v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
+                    usage_error(&format!("--jobs needs a positive integer, got `{v}`"))
                 }));
             }
             "--csv" => {
@@ -192,13 +196,7 @@ fn main() {
             _ => args.push(a),
         }
     }
-    // `--stream` with no experiment names runs only the streaming
-    // trajectory (at `--jobs 10000000` the full suite would otherwise ride
-    // along); with names it augments them (serve-soak honors `--jobs`).
-    let stream_only = stream_mode && args.is_empty();
-    let want = |name: &str| {
-        !stream_only && (args.is_empty() || args.iter().any(|a| a == name || a == "all"))
-    };
+    let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name || a == "all");
     let seed = base_seed();
     // One shared recorder behind `--obs-json`; each experiment block opens
     // a drop-guarded phase span, so the report's `phases` section is a
@@ -368,9 +366,7 @@ fn main() {
         banner("Robustness: streaming admission service under sustained QPS (SLO soak)");
         // `--jobs` lifts the default cap: the supervisor streams its
         // source, so a 10M-job soak is wall-time-bound, not memory-bound.
-        let soak_jobs = jobs_override
-            .map(|j| j as usize)
-            .unwrap_or_else(|| jobs_per_point().min(5_000));
+        let soak_jobs = jobs_override.unwrap_or_else(|| jobs_per_point().min(5_000));
         let pts = serve_soak::run_sized(&serve_soak::default_utils(), seed, soak_jobs);
         reporter
             .emit("serve_soak", &serve_soak::table(&pts))
@@ -415,63 +411,6 @@ fn main() {
                     .expect("csv write");
             }
             None => println!("empty instance"),
-        }
-    }
-
-    if stream_mode {
-        let _p = PhaseGuard::begin(obs.as_ref(), "stream-trajectory");
-        let jobs = jobs_override.unwrap_or(1_000_000);
-        banner(&format!(
-            "Streaming trajectory (--stream): {jobs} Bing QPS-1000 jobs, O(active) memory"
-        ));
-        let spec = parflow_workloads::WorkloadSpec::paper_fig2(
-            DistKind::Bing,
-            1000.0,
-            jobs_per_point(),
-            seed,
-        );
-        let cfg = parflow_core::SimConfig::new(16).with_free_steals();
-        let t = std::time::Instant::now();
-        let run = parflow_bench::stream::run_stream_ws(
-            &spec,
-            &cfg,
-            parflow_core::StealPolicy::StealKFirst { k: 16 },
-            seed,
-            jobs,
-        )
-        .unwrap_or_else(|e| usage_error(&format!("stream failed: {e}")));
-        let wall = t.elapsed().as_secs_f64();
-        let to_ms = 1000.0 / parflow_workloads::TICKS_PER_SECOND;
-        println!(
-            "streamed {} jobs in {:.1}s ({:.0} jobs/s, {:.2e} rounds/s)",
-            run.summary.jobs,
-            wall,
-            run.summary.jobs as f64 / wall.max(1e-9),
-            run.summary.total_rounds as f64 / wall.max(1e-9),
-        );
-        println!(
-            "max flow {:.1} ms, mean {:.1} ms, ~p99 {:.1} ms ({} NaN excluded)",
-            run.summary.max_flow.to_f64() * to_ms,
-            run.flows.mean().unwrap_or(0.0) * to_ms,
-            run.flows.quantile(0.99).unwrap_or(0.0) * to_ms,
-            run.flows.nan(),
-        );
-        println!(
-            "live OPT bound {:.1} ms -> ratio {:.2}",
-            run.opt.combined_lower_bound().to_f64() * to_ms,
-            run.competitive_ratio().unwrap_or(0.0),
-        );
-        println!(
-            "retirement: {} retired, {} live high-water, {} slab slots \
-             (reuse {:.1}%), {} cursor slots",
-            run.summary.retire.jobs_retired,
-            run.summary.retire.live_jobs_high_water,
-            run.summary.retire.slab_slots,
-            run.summary.retire.slab_reuse_ratio().unwrap_or(0.0) * 100.0,
-            run.summary.retire.cursor_slots,
-        );
-        if let Some(kb) = parflow_bench::stream::peak_rss_kb() {
-            println!("peak RSS {:.1} MB (VmHWM)", kb as f64 / 1024.0);
         }
     }
 

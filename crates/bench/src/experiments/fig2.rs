@@ -8,7 +8,6 @@
 
 use super::{jobs_per_point, par_map, PAPER_K, PAPER_M};
 use parflow_core::{opt_max_flow, simulate_worksteal, SimConfig, StealPolicy};
-use parflow_dag::Instance;
 use parflow_metrics::Table;
 use parflow_workloads::{DistKind, WorkloadSpec, TICKS_PER_SECOND};
 use serde::{Deserialize, Serialize};
@@ -53,52 +52,37 @@ pub fn run(dist: DistKind, seed: u64) -> Vec<Fig2Point> {
     run_sized(dist, seed, jobs_per_point(), PAPER_M)
 }
 
-/// Run with explicit size (tests and benches use small `n`).
+/// Run with explicit size (tests use small `n`).
 ///
 /// Uses the systems steal-cost model (free steal attempts), matching the
 /// paper's TBB runtime where a steal is ~10⁴× cheaper than a work unit.
 pub fn run_sized(dist: DistKind, seed: u64, n_jobs: usize, m: usize) -> Vec<Fig2Point> {
     let cfg = SimConfig::new(m).with_free_steals();
-    par_map(paper_qps(dist).to_vec(), |qps| {
-        let spec = WorkloadSpec::paper_fig2(dist, qps, n_jobs, seed);
-        let inst = spec.generate();
-        point_for_instance(qps, &inst, &cfg, m, seed)
-    })
-}
-
-/// Measure one pre-generated instance at `qps` — the Figure 2 kernel.
-/// Shared by [`run_sized`] and the Criterion benches, so callers that
-/// both tabulate and benchmark the same point generate its instance
-/// exactly once.
-pub fn point_for_instance(
-    qps: f64,
-    inst: &Instance,
-    cfg: &SimConfig,
-    m: usize,
-    seed: u64,
-) -> Fig2Point {
     let to_ms = 1000.0 / TICKS_PER_SECOND;
-    let opt = opt_max_flow(inst, m).to_f64() * to_ms;
-    let steal_k = simulate_worksteal(
-        inst,
-        cfg,
-        StealPolicy::StealKFirst { k: PAPER_K },
-        seed ^ 0xA5,
-    )
-    .max_flow()
-    .to_f64()
-        * to_ms;
-    let admit = simulate_worksteal(inst, cfg, StealPolicy::AdmitFirst, seed ^ 0x5A)
+    par_map(paper_qps(dist).to_vec(), |qps| {
+        let inst = WorkloadSpec::paper_fig2(dist, qps, n_jobs, seed).generate();
+        let opt = opt_max_flow(&inst, m).to_f64() * to_ms;
+        let steal_k = simulate_worksteal(
+            &inst,
+            &cfg,
+            StealPolicy::StealKFirst { k: PAPER_K },
+            seed ^ 0xA5,
+        )
         .max_flow()
         .to_f64()
-        * to_ms;
-    Fig2Point {
-        qps,
-        utilization: inst.utilization(m).map(|u| u.to_f64()).unwrap_or(0.0),
-        opt_ms: opt,
-        steal_k_ms: steal_k,
-        admit_ms: admit,
-    }
+            * to_ms;
+        let admit = simulate_worksteal(&inst, &cfg, StealPolicy::AdmitFirst, seed ^ 0x5A)
+            .max_flow()
+            .to_f64()
+            * to_ms;
+        Fig2Point {
+            qps,
+            utilization: inst.utilization(m).map(|u| u.to_f64()).unwrap_or(0.0),
+            opt_ms: opt,
+            steal_k_ms: steal_k,
+            admit_ms: admit,
+        }
+    })
 }
 
 /// Render the paper-style rows.

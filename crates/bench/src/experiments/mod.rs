@@ -1,7 +1,8 @@
 //! Experiment drivers: one module per paper table/figure plus theory
 //! validations and ablations. Each driver returns structured rows and can
-//! render a `parflow_metrics::Table`, so the `repro` binary and the
-//! Criterion benches share the exact same code paths.
+//! render a `parflow_metrics::Table`, which the `repro` binary prints and
+//! persists. Engine timing lives in `perfbench/` and `scripts/bench_check`,
+//! not here.
 
 pub mod backlog;
 pub mod burst;
@@ -31,22 +32,54 @@ pub const PAPER_M: usize = 16;
 /// The paper's steal-k-first parameter (Section 6: "we use k = 16").
 pub const PAPER_K: u32 = 16;
 
+/// `var` parsed as an integer `>= min`: `Ok(None)` when unset, and an
+/// error naming the variable when it is set but unparsable or too small.
+fn env_value<T>(var: &str, min: T) -> Result<Option<T>, String>
+where
+    T: std::str::FromStr + PartialOrd + std::fmt::Display,
+{
+    let Some(raw) = std::env::var_os(var) else {
+        return Ok(None);
+    };
+    raw.to_str()
+        .and_then(|v| v.parse().ok())
+        .filter(|v| *v >= min)
+        .map(Some)
+        .ok_or_else(|| {
+            format!(
+                "{var} must be an integer >= {min}, got `{}`",
+                raw.to_string_lossy()
+            )
+        })
+}
+
+/// Reject a set but invalid `PARFLOW_JOBS` (unparsable or 0),
+/// `PARFLOW_SEED` (unparsable) or `PARFLOW_THREADS` (unparsable or 0).
+/// The accessors below fall back to their defaults on such values, so a
+/// binary calls this once before any experiment runs.
+pub fn check_env() -> Result<(), String> {
+    env_value::<usize>("PARFLOW_JOBS", 1)?;
+    env_value::<u64>("PARFLOW_SEED", 0)?;
+    env_value::<usize>("PARFLOW_THREADS", 1)?;
+    Ok(())
+}
+
 /// Number of jobs per experiment point. The paper uses 100 000; the default
-/// here is 20 000 to keep `cargo bench` turnaround sane. Set
+/// here is 20 000 to keep a full `repro` run short. Set
 /// `PARFLOW_JOBS=100000` to run at paper scale.
 pub fn jobs_per_point() -> usize {
-    std::env::var("PARFLOW_JOBS")
+    env_value("PARFLOW_JOBS", 1)
         .ok()
-        .and_then(|v| v.parse().ok())
+        .flatten()
         .unwrap_or(20_000)
 }
 
 /// Base seed for all experiments (deterministic; override with
 /// `PARFLOW_SEED`).
 pub fn base_seed() -> u64 {
-    std::env::var("PARFLOW_SEED")
+    env_value("PARFLOW_SEED", 0)
         .ok()
-        .and_then(|v| v.parse().ok())
+        .flatten()
         .unwrap_or(0x9af1)
 }
 
@@ -54,10 +87,9 @@ pub fn base_seed() -> u64 {
 /// machine's available parallelism. `PARFLOW_THREADS=1` forces the serial
 /// path (useful for profiling a single experiment point).
 pub fn par_threads() -> usize {
-    std::env::var("PARFLOW_THREADS")
+    env_value("PARFLOW_THREADS", 1)
         .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&t: &usize| t >= 1)
+        .flatten()
         .unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(|n| n.get())

@@ -16,7 +16,11 @@
 //! * [`experiments::intervals`] — the Figure 1 interval decomposition.
 //!
 //! Run everything with `cargo run --release -p parflow-bench --bin repro`,
-//! or individual Criterion benches with `cargo bench`.
+//! or name single experiments (`repro fig2-bing steal-k`). The crate also
+//! hosts the sweep harness ([`sweep`]) and the streaming runners behind
+//! `parflow exec --stream` ([`stream`]). Engine timing lives in
+//! `perfbench/` (`BENCHMARK.json`) and in the `repro --bench-json` probe
+//! that `scripts/bench_check` gates ([`throughput`]).
 
 #![warn(missing_docs)]
 

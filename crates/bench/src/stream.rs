@@ -1,5 +1,7 @@
 //! Streaming bench adapter: [`WorkloadSpec`] → core [`JobStream`], peak-RSS
-//! probing, and high-level streaming runners for exec/serve-soak/sweep.
+//! probing, and one streaming runner per policy family ([`run_stream_ws`],
+//! [`run_stream_fifo`]) for `parflow exec --stream`, the sweep's streaming
+//! cells and the `stream_ws` throughput probe.
 //!
 //! The workloads crate's [`JobSource`] yields `(arrival, work)` scalars;
 //! the simulation core wants DAGs. [`SpecJobStream`] bridges them, caching
@@ -19,7 +21,7 @@ use parflow_core::{
 };
 use parflow_dag::JobDag;
 use parflow_metrics::StreamingFlowStats;
-use parflow_obs::{NullRecorder, Recorder};
+use parflow_obs::Recorder;
 use parflow_workloads::{JobSource, ShapeKind, WorkloadSpec};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -115,19 +117,9 @@ impl StreamRun {
 
 /// Run the streaming work-stealing engine over the first `jobs` jobs of
 /// `spec`, folding flows into streaming stats and OPT bounds on the fly.
+/// `rec` receives the engine taxonomy plus the `ws.stream.*` retirement
+/// counters; callers that want none pass `&mut NullRecorder`.
 pub fn run_stream_ws(
-    spec: &WorkloadSpec,
-    config: &SimConfig,
-    policy: StealPolicy,
-    seed: u64,
-    jobs: u64,
-) -> Result<StreamRun, StreamError> {
-    run_stream_ws_observed(spec, config, policy, seed, jobs, &mut NullRecorder)
-}
-
-/// [`run_stream_ws`] with a [`Recorder`] attached (engine taxonomy plus
-/// the `ws.stream.*` retirement counters).
-pub fn run_stream_ws_observed(
     spec: &WorkloadSpec,
     config: &SimConfig,
     policy: StealPolicy,
@@ -156,17 +148,9 @@ pub fn run_stream_ws_observed(
 }
 
 /// Run the streaming centralized FIFO engine over the first `jobs` jobs of
-/// `spec` — the streaming counterpart of `simulate_fifo`.
+/// `spec` — the streaming counterpart of `simulate_fifo`. `rec` as in
+/// [`run_stream_ws`].
 pub fn run_stream_fifo(
-    spec: &WorkloadSpec,
-    config: &SimConfig,
-    jobs: u64,
-) -> Result<StreamRun, StreamError> {
-    run_stream_fifo_observed(spec, config, jobs, &mut NullRecorder)
-}
-
-/// [`run_stream_fifo`] with a [`Recorder`] attached.
-pub fn run_stream_fifo_observed(
     spec: &WorkloadSpec,
     config: &SimConfig,
     jobs: u64,
@@ -194,6 +178,7 @@ pub fn run_stream_fifo_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parflow_obs::NullRecorder;
     use parflow_workloads::DistKind;
 
     fn spec(n: usize) -> WorkloadSpec {
@@ -228,6 +213,7 @@ mod tests {
             StealPolicy::StealKFirst { k: 16 },
             42,
             400,
+            &mut NullRecorder,
         )
         .expect("streams cleanly");
         assert_eq!(run.summary.jobs, 400);
@@ -244,7 +230,8 @@ mod tests {
 
     #[test]
     fn fifo_stream_run_completes() {
-        let run = run_stream_fifo(&spec(0), &SimConfig::new(4), 200).expect("streams cleanly");
+        let run = run_stream_fifo(&spec(0), &SimConfig::new(4), 200, &mut NullRecorder)
+            .expect("streams cleanly");
         assert_eq!(run.summary.jobs, 200);
         assert!(run.competitive_ratio().expect("bound positive") >= 1.0 - 1e-9);
     }

@@ -34,6 +34,7 @@ use parflow_core::{
     opt_max_flow, run_priority, run_worksteal, simulate_batched, simulate_fifo, Fifo, ReplicaSpec,
     SimConfig,
 };
+use parflow_obs::NullRecorder;
 use parflow_workloads::{ShapeKind, WorkloadSpec, TICKS_PER_SECOND};
 
 use crate::experiments::{par_map_with, par_threads};
@@ -265,11 +266,18 @@ fn run_instance(
                     let cfg = SimConfig::new(cell.m)
                         .with_free_steals()
                         .with_speed(cell.speed());
-                    crate::stream::run_stream_ws(&spec, &cfg, policy, cell.engine_seed, jobs_n)
+                    crate::stream::run_stream_ws(
+                        &spec,
+                        &cfg,
+                        policy,
+                        cell.engine_seed,
+                        jobs_n,
+                        &mut NullRecorder,
+                    )
                 }
                 None => {
                     let cfg = SimConfig::new(cell.m).with_speed(cell.speed());
-                    crate::stream::run_stream_fifo(&spec, &cfg, jobs_n)
+                    crate::stream::run_stream_fifo(&spec, &cfg, jobs_n, &mut NullRecorder)
                 }
             };
             let outcome = match run {
@@ -682,11 +690,6 @@ pub fn cli_main(args: &[String]) -> Result<String, String> {
         }
     }
     Ok(report)
-}
-
-/// The phase-diagram section body for EXPERIMENTS.md (markdown table).
-pub fn markdown_crossover(outcome: &SweepOutcome) -> String {
-    render_crossover_markdown(&outcome.crossover())
 }
 
 #[cfg(test)]

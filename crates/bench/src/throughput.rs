@@ -14,7 +14,7 @@ use parflow_core::{
     run_priority, run_priority_observed, run_worksteal_observed, simulate_batched,
     simulate_worksteal, Fifo, ReplicaSpec, SimConfig, StealPolicy,
 };
-use parflow_obs::Recorder;
+use parflow_obs::{NullRecorder, Recorder};
 use parflow_workloads::{qps_for_utilization, DistKind, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -313,6 +313,7 @@ pub fn measure(seed: u64) -> BenchReport {
         StealPolicy::StealKFirst { k: PAPER_K },
         seed,
         stream_jobs,
+        &mut NullRecorder,
     )
     .expect("probe spec is fault-free and sorted");
     let wall = t.elapsed().as_secs_f64();

@@ -173,20 +173,6 @@ fn metric_label(name: &str, index: Option<usize>) -> String {
     }
 }
 
-/// Inverse of [`metric_label`]: `"name[3]"` → `("name", Some(3))`. A label
-/// whose bracket suffix does not parse is treated as a plain name.
-fn split_label(label: &str) -> MetricId {
-    if let Some(open) = label.rfind('[') {
-        if let Some(idx) = label
-            .strip_suffix(']')
-            .and_then(|l| l[open + 1..].parse::<usize>().ok())
-        {
-            return (label[..open].to_string(), Some(idx));
-        }
-    }
-    (label.to_string(), None)
-}
-
 /// In-memory aggregation: counters summed, gauges last-write-wins, samples
 /// collected verbatim, spans timed against a wall clock.
 #[derive(Debug)]
@@ -233,23 +219,6 @@ impl AggregatingRecorder {
     /// Completed phases as `(name, wall_seconds)`, in completion order.
     pub fn phases(&self) -> &[(String, f64)] {
         &self.phases
-    }
-
-    /// Fold another report's counters (summed) and gauges (last-write-wins,
-    /// in report order) into this recorder. Used by the serve coordinator
-    /// to merge per-worker live telemetry; histogram summaries cannot be
-    /// re-expanded into samples and are deliberately not merged — merge raw
-    /// samples instead where distribution fidelity matters.
-    pub fn absorb_scalars(&mut self, report: &ObsReport) {
-        for (label, v) in &report.counters {
-            let (name, idx) = split_label(label);
-            let slot = self.counters.entry((name, idx)).or_insert(0);
-            *slot = slot.saturating_add(*v);
-        }
-        for (label, v) in &report.gauges {
-            let (name, idx) = split_label(label);
-            self.gauges.insert((name, idx), *v);
-        }
     }
 
     /// Summarize everything recorded so far into a machine-readable report.
@@ -739,44 +708,6 @@ mod tests {
         assert!(body.contains("\"x\": 1"));
         assert_eq!(r.aggregate().counter_value("x", None), 1);
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn split_label_round_trips_metric_label() {
-        for (name, idx) in [
-            ("ws.steals", None),
-            ("ws.steals", Some(0)),
-            ("serve.shed", Some(17)),
-            ("a[b", None), // bracket inside a plain name survives
-        ] {
-            let label = metric_label(name, idx);
-            assert_eq!(split_label(&label), (name.to_string(), idx));
-        }
-        // Unparsable bracket suffixes degrade to plain names.
-        assert_eq!(split_label("x[y]"), ("x[y]".to_string(), None));
-        assert_eq!(split_label("x[3"), ("x[3".to_string(), None));
-        assert_eq!(split_label("x]"), ("x]".to_string(), None));
-    }
-
-    #[test]
-    fn absorb_scalars_sums_counters_and_overwrites_gauges() {
-        let mut worker = AggregatingRecorder::new();
-        worker.counter("serve.completed", 5);
-        worker.counter_at("serve.orders", 2, 3);
-        worker.gauge("serve.depth", 4.0);
-        worker.sample("flow", 1.0); // histograms deliberately not merged
-        let report = worker.report();
-
-        let mut merged = AggregatingRecorder::new();
-        merged.counter("serve.completed", 1);
-        merged.gauge("serve.depth", 9.0);
-        merged.absorb_scalars(&report);
-        merged.absorb_scalars(&report);
-
-        assert_eq!(merged.counter_value("serve.completed", None), 11);
-        assert_eq!(merged.counter_value("serve.orders", Some(2)), 6);
-        assert_eq!(merged.gauge_value("serve.depth", None), Some(4.0));
-        assert!(merged.samples("flow").is_empty());
     }
 
     #[test]

@@ -224,19 +224,6 @@ impl RuntimeResult {
             .collect()
     }
 
-    /// Job-latency histogram: `bins` uniform bins over `[0, max_flow]` in
-    /// milliseconds. Returns `None` for an empty run (no bin range).
-    pub fn flow_histogram(&self, bins: usize) -> Option<parflow_metrics::Histogram> {
-        let flows = self.flow_ms();
-        let hi = flows.iter().copied().fold(0.0_f64, f64::max);
-        if flows.is_empty() || hi <= 0.0 {
-            return None;
-        }
-        let mut h = parflow_metrics::Histogram::new(0.0, hi * (1.0 + 1e-9), bins);
-        h.extend(flows);
-        Some(h)
-    }
-
     /// Emit this result into a [`Recorder`]: `rt.*` aggregate counters,
     /// per-worker `rt.worker.*` counters, per-job `rt.job_flow_ms` latency
     /// samples (summarized as a histogram by the aggregating recorder),
@@ -1381,17 +1368,6 @@ mod tests {
         // Disabled recorder: nothing recorded, nothing perturbed.
         let mut null = parflow_obs::NullRecorder;
         r.observe_into(&mut null);
-    }
-
-    #[test]
-    fn flow_histogram_covers_all_jobs() {
-        let cfg = RuntimeConfig::new(2, RtPolicy::AdmitFirst);
-        let r = run_workload(&cfg, &burst_workload(5, 2, 2_000));
-        let h = r.flow_histogram(8).expect("non-empty run");
-        assert_eq!(h.total(), 5);
-        assert_eq!(h.nan(), 0);
-        let empty = run_workload(&cfg, &[]);
-        assert!(empty.flow_histogram(8).is_none());
     }
 
     #[test]

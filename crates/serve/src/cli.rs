@@ -19,7 +19,6 @@ use crate::supervisor::{FaultSpec, ServeConfig, Supervisor};
 use parflow_runtime::RuntimeError;
 use parflow_workloads::{DistKind, WorkloadSpec};
 use std::collections::BTreeMap;
-use std::io::BufRead;
 
 const USAGE: &str = "usage: parflow-serve <emit|run|tcp> [--flag value ...]\n\
   emit: --n N --qps QPS --dist bing|finance|lognormal --seed S [--poison-every K]\n\
@@ -187,15 +186,6 @@ fn run_tcp(args: &[String]) -> Result<String, RuntimeError> {
     report_out(sup, &flags)
 }
 
-/// Count non-comment lines of a jsonl body (test helper for the binary).
-pub fn jsonl_lines(body: &str) -> usize {
-    body.as_bytes()
-        .lines()
-        .map_while(Result::ok)
-        .filter(|l| !l.trim().is_empty() && !l.trim().starts_with('#'))
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,7 +199,7 @@ mod tests {
         let a = run(&argv("emit --n 50 --qps 1500 --seed 7")).expect("emit");
         let b = run(&argv("emit --n 50 --qps 1500 --seed 7")).expect("emit");
         assert_eq!(a, b);
-        assert_eq!(jsonl_lines(&a), 50);
+        assert_eq!(a.lines().count(), 50);
         for line in a.lines() {
             crate::protocol::parse_submission(line).expect("emitted line parses");
         }

@@ -50,7 +50,7 @@ use crate::runtime::{try_run_workload, RtPolicy, RuntimeConfig, RuntimeError};
 use crate::time::{Rational, Speed};
 use crate::workloads::{trace_io, DistKind, InstanceStats, ShapeKind, WorkloadSpec};
 use parflow_dag::{shapes, Instance};
-use parflow_obs::{JsonRecorder, Recorder};
+use parflow_obs::{JsonRecorder, NullRecorder, Recorder};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
@@ -533,11 +533,13 @@ fn exec_stream_cmd(flags: &Flags) -> Result<String, CliError> {
     let obs_path = flags.get("obs-json").map(str::to_string);
     let mut rec = obs_path.as_deref().map(JsonRecorder::new);
     let started = std::time::Instant::now(); // lint: allow(nondeterminism) wall-clock jobs/s reporting only; the schedule is seed-deterministic
+    let mut null = NullRecorder;
+    let recorder: &mut dyn Recorder = match rec.as_mut() {
+        Some(r) => r,
+        None => &mut null,
+    };
     let run = match flags.get("policy").unwrap_or("steal-16-first") {
-        "fifo" => match rec.as_mut() {
-            Some(r) => parflow_bench::stream::run_stream_fifo_observed(&spec, &cfg, jobs, r),
-            None => parflow_bench::stream::run_stream_fifo(&spec, &cfg, jobs),
-        },
+        "fifo" => parflow_bench::stream::run_stream_fifo(&spec, &cfg, jobs, recorder),
         s => {
             let policy = match s {
                 "admit-first" => crate::core::StealPolicy::AdmitFirst,
@@ -550,12 +552,7 @@ fn exec_stream_cmd(flags: &Flags) -> Result<String, CliError> {
                     crate::core::StealPolicy::StealKFirst { k }
                 }
             };
-            match rec.as_mut() {
-                Some(r) => parflow_bench::stream::run_stream_ws_observed(
-                    &spec, &cfg, policy, seed, jobs, r,
-                ),
-                None => parflow_bench::stream::run_stream_ws(&spec, &cfg, policy, seed, jobs),
-            }
+            parflow_bench::stream::run_stream_ws(&spec, &cfg, policy, seed, jobs, recorder)
         }
     }
     .map_err(|e| CliError::Io(format!("stream: {e}")))?;
